@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -54,13 +55,24 @@ def _comments(config_hash: str, seed: int, extra=()) -> list[str]:
     return [f"config={config_hash} seed={seed}", *extra]
 
 
+def _write_csv_head(fh, comments, header):
+    for line in comments:
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    return writer
+
+
 def _write_csv(path: Path, comments, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_csv_head(fh, comments, header).writerows(rows)
+
+
+def _csv_prefix(*fields) -> str:
+    """The fields as the start of a row in ``_write_csv``'s dialect, ending with a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((*fields, ""))
+    return buf.getvalue()[: -len("\r\n")]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -113,18 +125,13 @@ def _write_manifold_files(out: Path, path, comments) -> None:
         rows,
     )
 
-    traj = rank_trajectories(path)
-    rows = []
-    for i, label in enumerate(labels):
-        for k in range(path.n_plateaus):
-            lo, hi = _plateau_bounds(path, k)
-            rows.append((label, k, lo, hi, traj[i, k]))
-    _write_csv(
-        out / "rank_trajectories.csv",
-        comments,
-        ("item", "plateau", "beta_low", "beta_high", "rank"),
-        rows,
-    )
+    # n_items x n_plateaus rows: format each plateau's cells and each label once
+    cells = [_csv_prefix(k, *_plateau_bounds(path, k)) for k in range(path.n_plateaus)]
+    with open(out / "rank_trajectories.csv", "w", newline="") as fh:
+        _write_csv_head(fh, comments, ("item", "plateau", "beta_low", "beta_high", "rank"))
+        for label, ranks in zip(labels, rank_trajectories(path).tolist()):
+            prefix = _csv_prefix(label)
+            fh.write("".join([f"{prefix}{cell}{r}\r\n" for cell, r in zip(cells, ranks)]))
 
     names = [f"plateau_{k}" for k in range(path.n_plateaus)]
     kinds = ["plateau"] * path.n_plateaus
@@ -214,9 +221,9 @@ def cmd_analyze(args) -> int:
     )
 
     # correlations vs beta: exact step values from the plateau distances,
-    # via the shortest-path identity d(Pr,Re) = d(Pr,F) + d(F,Re)
+    # via the shortest-path identity d(Pr,Re) = d(Pr,F) + d(F,Re), as
+    # correctly rounded ratios of discordant-pair counts
     total = report.total_pairs
-    d_full = Fraction(report.discordant_pr_re, total)
     grid = sorted(
         set(np.geomspace(args.grid_min, args.grid_max, args.grid_points))
         | set(path.transition_betas)
@@ -225,8 +232,9 @@ def cmd_analyze(args) -> int:
     rows = []
     for b in grid:
         d1 = path.distances_from_precision[path.plateau_of(b)]
-        d2 = d_full - d1
-        rows.append((b, float(1 - 2 * d1), float(1 - 2 * d2)))
+        n1 = d1.numerator * (total // d1.denominator)
+        n2 = report.discordant_pr_re - n1
+        rows.append((b, (total - 2 * n1) / total, (total - 2 * n2) / total))
     _write_csv(
         out / "correlations_vs_beta.csv",
         comments,

@@ -11,15 +11,16 @@ usual picture of that curve.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .ranking import PerformanceSet, Ranking, discordance, rank_by_score
-from .scores import PRECISION, RECALL, SIVF, TIE_TOL, UndefinedScoreError, fbeta
-from .tradeoff import optimal_beta, pair_crossings
+from .ranking import PerformanceSet, Ranking, rank_by_score
+from .scores import PRECISION, RECALL, SIVF, TIE_TOL, UndefinedScoreError
+from .tradeoff import pair_crossings
 
 
 class DegenerateSpreadError(ValueError):
@@ -31,22 +32,32 @@ class RankingPath:
     """Plateau-by-plateau record of the beta sweep over one set.
 
     ``transition_betas`` holds the distinct betas (square roots of the
-    crossing beta^2 values) at which the ranking changes; ``rankings``
-    has one entry per plateau, so it is one longer.  ``coalesced`` is set
-    when several distinct pairs cross at the same beta (within tolerance),
-    in which case a transition may move the ranking by more than one
-    adjacent swap.
+    crossing beta^2 values) at which the ranking changes; ``ranks`` has
+    one row of ranks per plateau, so it is one longer.  ``coalesced`` is
+    set when several distinct pairs cross at the same beta (within
+    tolerance), in which case a transition may move the ranking by more
+    than one adjacent swap.  ``beta_star_squared`` is the median crossing
+    value, the optimal tradeoff (None when no pair crosses).
     """
 
     pset: PerformanceSet
     transition_betas: tuple[float, ...]
-    rankings: tuple[Ranking, ...]
+    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items)
     distances_from_precision: tuple[Fraction, ...]
     coalesced: bool
+    beta_star_squared: float | None
 
     @property
     def n_plateaus(self) -> int:
-        return len(self.rankings)
+        return len(self.ranks)
+
+    def ranking(self, k: int) -> Ranking:
+        """The ranking on plateau k."""
+        return Ranking(tuple(self.ranks[k].tolist()))
+
+    @cached_property
+    def rankings(self) -> tuple[Ranking, ...]:
+        return tuple(self.ranking(k) for k in range(self.n_plateaus))
 
     def plateau_of(self, beta: float) -> int:
         """Index of the plateau containing the given beta."""
@@ -64,41 +75,48 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     """Enumerate every ranking induced by the F-score family on the set.
 
     Requires a tie-free set (distinct precision values and distinct
-    recall values).  Each open plateau is probed at the geometric
-    midpoint of its bounding transitions, since crossings live on a
-    multiplicative beta scale; the first plateau is precision itself and
-    the last is checked against recall.
+    recall values).  The first plateau is precision itself.  Crossings
+    within TIE_TOL of the first one of their group form one transition,
+    at which every pair of the group swaps from its precision order to its
+    recall order: per swap, the rank of the item that was ahead grows by
+    one and the other's shrinks by one.  Each plateau's distance from
+    precision is the number of swaps so far, and the last plateau is
+    checked against recall.
     """
     r_pr = rank_by_score(pset, PRECISION)
     r_re = rank_by_score(pset, RECALL)
     if r_pr.has_ties or r_re.has_ties:
         raise ValueError("set has tied precision or recall values; path is ambiguous")
 
-    thetas = [t for t in pair_crossings(pset).thetas if t > 0]
-    coalesced = any(b - a <= TIE_TOL for a, b in zip(thetas, thetas[1:]))
+    crossings = pair_crossings(pset)
+    first = bisect_right(crossings.thetas, 0.0)  # thetas are sorted and >= 0
     unique: list[float] = []
-    for t in thetas:
+    group = np.empty(crossings.n_crossings - first, dtype=np.intp)
+    for g, t in enumerate(crossings.thetas[first:]):
         if not unique or t - unique[-1] > TIE_TOL:
             unique.append(t)
-    betas = [math.sqrt(t) for t in unique]
+        group[g] = len(unique)  # the plateau this crossing opens
 
-    probes: list[float] = [0.0]
-    probes += [math.sqrt(a * b) for a, b in zip(betas, betas[1:])]
-    if betas:
-        probes.append(2.0 * betas[-1])
-    rankings = [r_pr]
-    rankings += [rank_by_score(pset, fbeta(b)) for b in probes[1:]]
-    if rankings[-1].ranks != r_re.ranks:
+    ranks = np.zeros((len(unique) + 1, len(pset)), dtype=np.int64)
+    ranks[0] = r_pr.as_array()
+    i, j = crossings.pairs[first:].T
+    i_first = ranks[0, i] < ranks[0, j]
+    ahead, behind = np.where(i_first, i, j), np.where(i_first, j, i)
+    np.add.at(ranks, (group, ahead), 1)
+    np.add.at(ranks, (group, behind), -1)
+    np.cumsum(ranks, axis=0, out=ranks)
+    if not np.array_equal(ranks[-1], r_re.as_array()):
         raise RuntimeError("last plateau does not match the recall ranking")
 
     total = pset.total_pairs
-    dists = tuple(Fraction(discordance(r_pr, r)[0], total) for r in rankings)
+    swaps = np.cumsum(np.bincount(group, minlength=len(unique) + 1))
     return RankingPath(
         pset=pset,
-        transition_betas=tuple(betas),
-        rankings=tuple(rankings),
-        distances_from_precision=dists,
-        coalesced=coalesced,
+        transition_betas=tuple(math.sqrt(t) for t in unique),
+        ranks=ranks,
+        distances_from_precision=tuple(Fraction(s, total) for s in swaps.tolist()),
+        coalesced=crossings.coalesced,
+        beta_star_squared=crossings.beta_star_squared,
     )
 
 
@@ -113,16 +131,16 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
     ranked directly (and skipped when undefined on the set); the optimal
     tradeoff is the plateau of the median crossing.
     """
-    out = {"f1": path.rankings[path.plateau_of(1.0)]}
+    out = {"f1": path.ranking(path.plateau_of(1.0))}
     try:
         out["sivf"] = rank_by_score(path.pset, SIVF)
     except UndefinedScoreError:
         pass
-    b2_star, _ = optimal_beta(path.pset)
+    b2_star = path.beta_star_squared
     if b2_star is None:
-        out["optimal"] = path.rankings[0]
+        out["optimal"] = path.ranking(0)
     else:
-        out["optimal"] = path.rankings[path.plateau_of(math.sqrt(b2_star))]
+        out["optimal"] = path.ranking(path.plateau_of(math.sqrt(b2_star)))
     return out
 
 
@@ -138,12 +156,12 @@ def pca_project(
     the corresponding Spearman distances.  Component signs are fixed
     (first nonzero loading positive) to make outputs reproducible.
     """
-    rows = [r.as_array() for r in path.rankings]
+    rows = [path.ranks]
     if include_markers:
         rows += [r.as_array() for r in marker_rankings(path).values()]
-    x = np.array(rows, dtype=float)
+    x = np.vstack(rows).astype(float)
     x -= x.mean(axis=0, keepdims=True)
-    cov = x.T @ x / max(len(rows) - 1, 1)
+    cov = x.T @ x / max(len(x) - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -162,4 +180,4 @@ def pca_project(
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:
     """(n_items, n_plateaus) matrix of ranks: one step function of beta per item."""
-    return np.array([r.ranks for r in path.rankings]).T
+    return path.ranks.T.copy()

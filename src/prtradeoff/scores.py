@@ -164,6 +164,26 @@ def evaluate(score: ScoreFunction, p: Performance) -> float | None:
     raise AssertionError(kind)
 
 
+def fbeta_values(parts: np.ndarray, beta) -> np.ndarray:
+    """F-scores of the rows of an (n, 4) array, each at its own beta.
+
+    ``beta`` is a scalar or an (n,) array; ``beta = inf`` gives recall.
+    Returns NaN wherever the score is undefined.
+    """
+    parts = np.asarray(parts, dtype=float)
+    fp, fn, tp = parts[:, 1], parts[:, 2], parts[:, 3]
+    # a Python float keeps the common scalar case on NumPy's scalar fast path
+    beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b2 = beta * beta
+        den = fp + b2 * fn + (1.0 + b2) * tp
+        out = np.where(den > 0, (1.0 + b2) * tp / den, np.nan)
+        at_inf = np.isinf(beta)
+        if np.any(at_inf):
+            out = np.where(at_inf, np.where(fn + tp > 0, tp / (fn + tp), np.nan), out)
+    return out
+
+
 def score_values(score: ScoreFunction, parts: np.ndarray) -> np.ndarray:
     """Vectorized ``evaluate`` over an (n, 4) array of simplex points.
 
@@ -172,17 +192,13 @@ def score_values(score: ScoreFunction, parts: np.ndarray) -> np.ndarray:
     parts = np.asarray(parts, dtype=float)
     tn, fp, fn, tp = parts[:, 0], parts[:, 1], parts[:, 2], parts[:, 3]
     kind = score.kind
-    if kind == "fbeta" and math.isinf(score.beta):
-        kind = "recall"
+    if kind == "fbeta":
+        return fbeta_values(parts, score.beta)
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "precision":
             out = np.where(fp + tp > 0, tp / (fp + tp), np.nan)
         elif kind == "recall":
             out = np.where(fn + tp > 0, tp / (fn + tp), np.nan)
-        elif kind == "fbeta":
-            b2 = score.beta * score.beta
-            den = fp + b2 * fn + (1.0 + b2) * tp
-            out = np.where(den > 0, (1.0 + b2) * tp / den, np.nan)
         elif kind == "sivf":
             neg, pos = tn + fp, fn + tp
             tpr = tp / pos

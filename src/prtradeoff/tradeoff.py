@@ -14,15 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .ranking import (
-    PerformanceSet,
-    discordance,
-    rank_by_score,
-    ranks_from_values,
-)
+from .ranking import PerformanceSet, discordance, rank_by_score
 from .scores import (
     F1,
     PRECISION,
@@ -33,7 +29,7 @@ from .scores import (
     ScoreFunction,
     UndefinedScoreError,
     fbeta,
-    score_values,
+    fbeta_values,
 )
 
 
@@ -67,15 +63,33 @@ def crossing_beta_squared(p1: Performance, p2: Performance) -> float | None:
 
 @dataclass(frozen=True)
 class CrossingSummary:
-    """All pairwise F-score crossing values of a set, with exclusion counters."""
+    """All pairwise F-score crossing values of a set, with exclusion counters.
+
+    Row k of ``pairs`` holds the item indices (i < j) of the pair that
+    crosses at ``thetas[k]``.
+    """
 
     thetas: tuple[float, ...]  # sorted, >= 0
     degenerate_pairs: int      # pairs tied under every F-score (excluded)
     unanimous_pairs: int       # pairs with no finite equalizing beta
+    pairs: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_crossings(self) -> int:
         return len(self.thetas)
+
+    @property
+    def beta_star_squared(self) -> float | None:
+        """The median crossing value, or None when there is no crossing."""
+        if not self.thetas:
+            return None
+        return float(np.median(self.thetas))
+
+    @property
+    def coalesced(self) -> bool:
+        """Whether two positive crossings lie within TIE_TOL of each other."""
+        ts = [t for t in self.thetas if t > 0]
+        return any(b - a <= TIE_TOL for a, b in zip(ts, ts[1:]))
 
 
 def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
@@ -88,15 +102,26 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     num = tp[iu] * fp[ju] - tp[ju] * fp[iu]
     den = tp[iu] * fn[ju] - tp[ju] * fn[iu]
     degenerate = (num == 0) & (den == 0)
+    n_deg = int(degenerate.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.where(den != 0, -num / den, np.inf)
-    crossing = ~degenerate & np.isfinite(theta) & (theta >= 0)
-    thetas = np.sort(theta[crossing]) + 0.0
-    n_deg = int(degenerate.sum())
+    # the temporaries are O(n^2): release each as soon as it is used
+    del num, den
+    crossing = np.flatnonzero(~degenerate & np.isfinite(theta) & (theta >= 0))
+    del degenerate
+    theta = theta[crossing]
+    order = np.argsort(theta)
+    theta = theta[order] + 0.0  # + 0.0 normalizes -0.0
+    crossing = crossing[order]
+    del order
+    pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
+    pairs[:, 0] = iu[crossing]
+    pairs[:, 1] = ju[crossing]
     return CrossingSummary(
-        thetas=tuple(float(t) for t in thetas),
+        thetas=tuple(theta.tolist()),
         degenerate_pairs=n_deg,
-        unanimous_pairs=len(iu) - n_deg - int(crossing.sum()),
+        unanimous_pairs=len(iu) - n_deg - len(crossing),
+        pairs=pairs,
     )
 
 
@@ -109,9 +134,7 @@ def optimal_beta(pset: PerformanceSet) -> tuple[float | None, list[float]]:
     ``pair_crossings``.
     """
     summary = pair_crossings(pset)
-    if not summary.thetas:
-        return None, []
-    return float(np.median(summary.thetas)), list(summary.thetas)
+    return summary.beta_star_squared, list(summary.thetas)
 
 
 def optimal_interval(thetas) -> tuple[float, float] | None:
@@ -131,29 +154,99 @@ def optimal_interval(thetas) -> tuple[float, float] | None:
     return (ts[m // 2 - 1], ts[m // 2])
 
 
-def _fbeta_ranks(parts: np.ndarray, beta: float) -> np.ndarray:
-    values = score_values(fbeta(beta), parts)
-    if np.isnan(values).any():
-        raise UndefinedScoreError(int(np.isnan(values).argmax()), f"fbeta({beta:g})")
-    return ranks_from_values(values)
+# Half-width, relative to 1 + beta^2, of the band of crossing values around
+# each probed beta^2 whose pairs are decided by their own two F-scores.  It
+# sets only how much work goes to those direct decisions, never a result.
+_BAND = 1e-6
+# Most (probe, pair) combinations of irregular pairs decided at once: bounds memory.
+_BLOCK = 1 << 18
 
 
-def _discordant_count(ra: np.ndarray, rb: np.ndarray) -> int:
-    sa = np.sign(ra[:, None] - ra[None, :])
-    sb = np.sign(rb[:, None] - rb[None, :])
-    return int((np.triu(sa * sb, 1) < 0).sum())
+def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Per pair: how close beta^2 must be to theta, over 1 + theta, for a tie.
+
+    With P = pfp + ptp, R = pfn + ptp and S = max(P, R), the F-score gap
+    of the pair at beta^2 = x is (1 + x) |den| |x - theta| / (D_i D_j),
+    where D = P + x R <= (1 + x) S.  So the pair can tie under TIE_TOL, or
+    be ordered against its theta, only where |x - theta| <= c (1 + x),
+    c = TIE_TOL S_i S_j / |den| (doubled here for the rounding of the
+    F-scores).  The rounding error of theta itself is added.
+    """
+    tn, fp, fn, tp = parts.T
+    s = np.maximum(fp + tp, fn + tp)
+    a, b = tp[i] * fp[j], tp[j] * fp[i]
+    c, d = tp[i] * fn[j], tp[j] * fn[i]
+    den = np.abs(c - d)
+    theta_error = 4.0 * np.finfo(float).eps * (a + b + theta * (c + d)) / den
+    return 2.0 * TIE_TOL * s[i] * s[j] / den + theta_error / (1.0 + theta)
+
+
+def _side_counts(
+    pset: PerformanceSet, crossings: CrossingSummary, betas
+) -> tuple[np.ndarray, np.ndarray]:
+    """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta.
+
+    Only a crossing pair can be discordant with either endpoint.  Each
+    one is decided by comparing its own two F-scores under TIE_TOL, as a
+    ranking would; counting makes that cheap.  A pair that precision and
+    recall order strictly oppositely keeps the precision order below its
+    theta and takes the recall order above it, so away from a probe it is
+    counted with ``searchsorted`` into the sorted crossing values.  Pairs
+    inside a probe's band, and at every probe the pairs that tie under
+    precision or recall or whose tie slack exceeds the band, are compared
+    directly.
+    """
+    betas = np.asarray(betas, dtype=float)
+    bad = np.flatnonzero(~(betas >= 0))
+    if bad.size:
+        raise ValueError(f"beta must be >= 0, got {betas[bad[0]]!r}")
+    with np.errstate(over="ignore"):
+        b2 = betas * betas
+    # a finite beta whose square overflows leaves every F-score undefined
+    bad = np.flatnonzero(np.isinf(b2) & np.isfinite(betas))
+    if bad.size:
+        raise UndefinedScoreError(0, fbeta(betas[bad[0]]).label())
+    parts = pset.parts
+    r_pr = rank_by_score(pset, PRECISION).as_array()
+    r_re = rank_by_score(pset, RECALL).as_array()
+    i, j = crossings.pairs.T
+    theta = np.asarray(crossings.thetas, dtype=float)
+    s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where item i is ahead
+    s_re = np.sign(r_re[j] - r_re[i])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        regular = (s_pr * s_re < 0) & (_tie_slack(parts, i, j, theta) <= _BAND)
+    reg = np.flatnonzero(regular)
+    irr = np.flatnonzero(~regular)
+
+    band = np.where(np.isinf(b2), 0.0, 2.0 * _BAND * (1.0 + b2))
+    lo = np.searchsorted(theta[reg], b2 - band, "left")
+    hi = np.searchsorted(theta[reg], b2 + band, "right")
+    d_pr = lo.copy()               # past their crossing: recall order
+    d_re = len(reg) - hi           # before their crossing: precision order
+
+    # (probe, pair) combinations to decide directly: the band pairs of each
+    # probe, then every irregular pair at every probe, in bounded blocks
+    width = hi - lo
+    probe = np.repeat(np.arange(len(betas)), width)
+    offset = np.arange(len(probe)) - np.repeat(np.cumsum(width) - width, width)
+    step = max(1, _BLOCK // max(irr.size, 1))
+    blocks = (np.arange(k, min(k + step, len(betas))) for k in range(0, len(betas), step))
+    combos = chain(
+        [(probe, reg[np.repeat(lo, width) + offset])],
+        ((np.repeat(block, irr.size), np.tile(irr, len(block))) for block in blocks if irr.size),
+    )
+    for probe, pair in combos:
+        b = betas[probe]
+        gap = fbeta_values(parts[i[pair]], b) - fbeta_values(parts[j[pair]], b)
+        s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
+        d_pr += np.bincount(probe[s_pr[pair] * s_f < 0], minlength=len(betas))
+        d_re += np.bincount(probe[s_f * s_re[pair] < 0], minlength=len(betas))
+    return d_pr, d_re
 
 
 def frechet_variance(pset: PerformanceSet, beta: float) -> float:
     """d^2(precision, F_beta) + d^2(F_beta, recall) on the set, in [0, 2]."""
-    parts = pset.parts
-    r_pr = _fbeta_ranks(parts, 0.0)
-    r_re = _fbeta_ranks(parts, math.inf)
-    total = pset.total_pairs
-    r = _fbeta_ranks(parts, beta)
-    d1 = _discordant_count(r_pr, r) / total
-    d2 = _discordant_count(r, r_re) / total
-    return d1 * d1 + d2 * d2
+    return frechet_curve(pset, [beta])[0][1]
 
 
 def frechet_curve(
@@ -161,6 +254,7 @@ def frechet_curve(
     betas=None,
     grid_points: int = 41,
     grid_span: tuple[float, float] = (1e-3, 1e3),
+    crossings: CrossingSummary | None = None,
 ) -> list[tuple[float, float]]:
     """Sampled (beta, Frechet variance) curve.
 
@@ -168,26 +262,26 @@ def frechet_curve(
     when ``betas`` is not given the log-spaced grid is augmented with the
     transition betas themselves and the geometric midpoints of adjacent
     transitions: every plateau, including the optimal one, is probed.
+    ``crossings`` may be passed to reuse the set's ``pair_crossings``.
     """
-    parts = pset.parts
-    r_pr = _fbeta_ranks(parts, 0.0)
-    r_re = _fbeta_ranks(parts, math.inf)
-    total = pset.total_pairs
+    if crossings is None:
+        crossings = pair_crossings(pset)
     if betas is None:
         bs = set(np.geomspace(grid_span[0], grid_span[1], grid_points))
         bs.add(0.0)
-        ts = [t for t in pair_crossings(pset).thetas if t > 0]
+        ts = [t for t in crossings.thetas if t > 0]
         roots = [math.sqrt(t) for t in ts]
         bs.update(roots)
         bs.update(math.sqrt(a * b) for a, b in zip(roots, roots[1:]))
         if roots:
             bs.add(2.0 * roots[-1])
         betas = sorted(bs)
+    total = pset.total_pairs
+    d_pr, d_re = _side_counts(pset, crossings, betas)
     out = []
-    for b in betas:
-        r = _fbeta_ranks(parts, b)
-        d1 = _discordant_count(r_pr, r) / total
-        d2 = _discordant_count(r, r_re) / total
+    for b, n1, n2 in zip(betas, d_pr.tolist(), d_re.tolist()):
+        d1 = n1 / total
+        d2 = n2 / total
         out.append((float(b), d1 * d1 + d2 * d2))
     return out
 
@@ -196,16 +290,17 @@ def geodesic_check(pset: PerformanceSet, betas) -> list[int]:
     """Exact integer residuals of the shortest-path identity, one per beta.
 
     residual = discordant(Pr, Re) - discordant(Pr, F_beta) - discordant(F_beta, Re);
-    zero for every beta on tie-free sets.
+    zero for every beta on tie-free sets.  Every ranking is computed
+    directly from the scores, so this checks the counting shortcut of
+    ``frechet_curve`` and ``build_path`` instead of relying on it.
     """
-    parts = pset.parts
-    r_pr = _fbeta_ranks(parts, 0.0)
-    r_re = _fbeta_ranks(parts, math.inf)
-    d_pr_re = _discordant_count(r_pr, r_re)
+    r_pr = rank_by_score(pset, PRECISION)
+    r_re = rank_by_score(pset, RECALL)
+    d_pr_re, _ = discordance(r_pr, r_re)
     out = []
     for b in betas:
-        r = _fbeta_ranks(parts, b)
-        out.append(d_pr_re - _discordant_count(r_pr, r) - _discordant_count(r, r_re))
+        r = rank_by_score(pset, fbeta(b))
+        out.append(d_pr_re - discordance(r_pr, r)[0] - discordance(r, r_re)[0])
     return out
 
 
@@ -265,15 +360,19 @@ def heuristic_beta(pset: PerformanceSet) -> float:
     return math.sqrt(fp_sum / fn_sum)
 
 
-def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
-    """|d(Pr, F) - d(F, Re)| at the given beta^2, as an exact fraction."""
-    parts = pset.parts
-    r_pr = _fbeta_ranks(parts, 0.0)
-    r_re = _fbeta_ranks(parts, math.inf)
-    r = _fbeta_ranks(parts, math.sqrt(beta_squared))
-    total = pset.total_pairs
-    gap = _discordant_count(r_pr, r) - _discordant_count(r, r_re)
-    return Fraction(abs(gap), total)
+def equidistance_gap(
+    pset: PerformanceSet,
+    beta_squared: float,
+    crossings: CrossingSummary | None = None,
+) -> Fraction:
+    """|d(Pr, F) - d(F, Re)| at the given beta^2, as an exact fraction.
+
+    ``crossings`` may be passed to reuse the set's ``pair_crossings``.
+    """
+    if crossings is None:
+        crossings = pair_crossings(pset)
+    d_pr, d_re = _side_counts(pset, crossings, [math.sqrt(beta_squared)])
+    return Fraction(abs(int(d_pr[0]) - int(d_re[0])), pset.total_pairs)
 
 
 @dataclass(frozen=True)
@@ -297,11 +396,6 @@ class TradeoffReport:
     skipped_candidates: dict[str, str] = field(default_factory=dict)
 
 
-def _has_coalesced(thetas, tol: float = TIE_TOL) -> bool:
-    ts = [t for t in thetas if t > 0]
-    return any(b - a <= tol for a, b in zip(ts, ts[1:]))
-
-
 def analyze_set(
     pset: PerformanceSet,
     extra_betas=(),
@@ -319,7 +413,8 @@ def analyze_set(
     r_re = rank_by_score(pset, RECALL)
     d_pr_re, total = discordance(r_pr, r_re)
     summary = pair_crossings(pset)
-    b2_star, thetas = optimal_beta(pset)
+    b2_star = summary.beta_star_squared
+    thetas = summary.thetas
     interval = optimal_interval(thetas)
 
     try:
@@ -348,13 +443,13 @@ def analyze_set(
         discordant_pr_re=d_pr_re,
         beta_star_squared=b2_star,
         beta_star_interval=interval,
-        transition_thetas=tuple(thetas),
+        transition_thetas=thetas,
         degenerate_pairs=summary.degenerate_pairs,
         unanimous_pairs=summary.unanimous_pairs,
-        coalesced=_has_coalesced(thetas),
-        equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star),
+        coalesced=summary.coalesced,
+        equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star, summary),
         heuristic=heur,
-        frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span)),
+        frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span, summary)),
         optimality=optimality,
         skipped_candidates=skipped,
     )

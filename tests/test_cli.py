@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,10 +80,14 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
 
 def test_analyze_runs_as_a_script(tmp_path):
     out = tmp_path / "out"
+    # the child imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "prtradeoff.cli", "analyze", "--input", str(FIXTURE), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (out / "report.json").exists()

@@ -1,0 +1,198 @@
+"""The counting engine against direct re-ranking.
+
+``frechet_curve``, ``frechet_variance``, ``equidistance_gap`` and
+``build_path`` count pair crossings instead of ranking the whole set at
+each beta.  The oracle here ranks every item directly with
+``rank_by_score`` and counts discordant pairs with ``discordance``; it
+is kept in this file only, so the shortcut is never checked against
+itself.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from prtradeoff import (
+    PRECISION,
+    RECALL,
+    Performance,
+    PerformanceSet,
+    build_path,
+    discordance,
+    equidistance_gap,
+    fbeta,
+    frechet_curve,
+    frechet_variance,
+    pair_crossings,
+    rank_by_score,
+    rank_trajectories,
+    UndefinedScoreError,
+)
+
+
+def direct_sides(pset, beta):
+    """(d(Pr, F_beta), d(F_beta, Re)) by ranking every item at beta."""
+    r_pr = rank_by_score(pset, PRECISION)
+    r_re = rank_by_score(pset, RECALL)
+    r = rank_by_score(pset, fbeta(beta))
+    return discordance(r_pr, r)[0], discordance(r, r_re)[0]
+
+
+def direct_variance(pset, beta):
+    d1, d2 = direct_sides(pset, beta)
+    d1, d2 = d1 / pset.total_pairs, d2 / pset.total_pairs
+    return d1 * d1 + d2 * d2
+
+
+def probe_betas(pset):
+    """0, every transition root, and the geometric midpoints between and past them."""
+    roots = sorted({math.sqrt(t) for t in pair_crossings(pset).thetas if t > 0})
+    mids = [math.sqrt(a * b) for a, b in zip(roots, roots[1:])]
+    return [0.0, *roots, *mids, *(2.0 * r for r in roots[-1:])]
+
+
+def dense_grid_plateaus(pset, path):
+    """Distinct rankings met along a dense beta grid (the acceptance-10 oracle)."""
+    grid = (
+        np.geomspace(path.transition_betas[0] / 2, path.transition_betas[-1] * 2, 2500)
+        if path.transition_betas
+        else np.geomspace(1e-3, 1e3, 50)
+    )
+    seen = [rank_by_score(pset, fbeta(0.0)).ranks]
+    for b in grid:
+        r = rank_by_score(pset, fbeta(b)).ranks
+        if r != seen[-1]:
+            seen.append(r)
+    return len(seen)
+
+
+def assert_path_matches_direct_probing(pset, path):
+    r_pr = rank_by_score(pset, PRECISION)
+    betas = path.transition_betas
+    probes = [0.0, *(math.sqrt(a * b) for a, b in zip(betas, betas[1:])), *(2.0 * b for b in betas[-1:])]
+    assert len(probes) == path.n_plateaus
+    for k, b in enumerate(probes):
+        r = rank_by_score(pset, fbeta(b))
+        assert path.rankings[k] == r
+        assert path.distances_from_precision[k] == Fraction(discordance(r_pr, r)[0], pset.total_pairs)
+    traj = rank_trajectories(path)
+    assert traj.shape == (len(pset), path.n_plateaus)
+    for k in range(path.n_plateaus):
+        assert tuple(traj[:, k]) == path.rankings[k].ranks
+
+
+cell = st.floats(min_value=0.01, max_value=1.0, allow_nan=False, allow_subnormal=False)
+performances = st.lists(st.tuples(cell, cell, cell, cell), min_size=2, max_size=25)
+
+
+def tie_free(rows):
+    pset = PerformanceSet(tuple(Performance(*r) for r in rows))
+    assume(not rank_by_score(pset, PRECISION).has_ties)
+    assume(not rank_by_score(pset, RECALL).has_ties)
+    return pset
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(performances)
+def test_counted_frechet_quantities_match_direct_reranking(rows):
+    pset = tie_free(rows)
+    betas = probe_betas(pset)
+    curve = frechet_curve(pset, betas=betas)
+    assert [b for b, _ in curve] == betas
+    for b, v in curve:
+        assert v == direct_variance(pset, b)
+    for b in betas[:: max(1, len(betas) // 5)]:
+        assert frechet_variance(pset, b) == direct_variance(pset, b)
+    for t in [0.0, *pair_crossings(pset).thetas]:
+        d1, d2 = direct_sides(pset, math.sqrt(t))
+        assert equidistance_gap(pset, t) == Fraction(abs(d1 - d2), pset.total_pairs)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(performances)
+def test_swap_built_path_matches_direct_reranking(rows):
+    pset = tie_free(rows)
+    assert_path_matches_direct_probing(pset, build_path(pset))
+
+
+grid_cell = st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 0.75, 1.0])
+tied_performances = st.lists(st.tuples(grid_cell, grid_cell, grid_cell, grid_cell), min_size=2, max_size=12)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tied_performances)
+def test_counting_on_sets_with_ties_matches_direct_reranking(rows):
+    # precision and recall must be defined; ties and degenerate pairs are welcome
+    assume(all(fp + tp > 0 and fn + tp > 0 for _, fp, fn, tp in rows))
+    pset = PerformanceSet(tuple(Performance(*r) for r in rows))
+    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3]):
+        assert v == direct_variance(pset, b)
+    for t in [0.0, *pair_crossings(pset).thetas]:
+        d1, d2 = direct_sides(pset, math.sqrt(t))
+        assert equidistance_gap(pset, t) == Fraction(abs(d1 - d2), pset.total_pairs)
+
+
+def roc_pset(points, prior=0.5):
+    q = 1.0 - prior
+    parts = [(q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points]
+    return PerformanceSet(tuple(Performance(*row) for row in parts))
+
+
+def test_two_disjoint_pairs_crossing_at_the_same_theta():
+    # at prior 1/2 a pair crosses at the offset of the ROC pencil line
+    # through both points; both lines below pass through (-1.7, 0)
+    pset = roc_pset([(0.1, 0.6), (0.4, 0.7), (0.3, 0.5), (0.9, 0.65)])
+    crossings = pair_crossings(pset)
+    assert sum(abs(t - 1.7) <= 1e-12 for t in crossings.thetas) == 2
+    path = build_path(pset)
+    assert path.coalesced
+    k = path.plateau_of(math.sqrt(1.7) * (1 + 1e-9))
+    steps = [b - a for a, b in zip(path.distances_from_precision, path.distances_from_precision[1:])]
+    assert steps[k - 1] == Fraction(2, pset.total_pairs)
+    assert_path_matches_direct_probing(pset, path)
+    assert path.n_plateaus == dense_grid_plateaus(pset, path)
+
+
+def test_three_items_reversing_as_a_block():
+    # three points on one pencil line through (-1, 0), plus a unanimous leader
+    pset = roc_pset([(0.1, 0.55), (0.3, 0.65), (0.6, 0.8), (0.02, 0.95)])
+    path = build_path(pset)
+    assert path.coalesced
+    assert path.n_plateaus == 2
+    assert path.transition_betas == (pytest.approx(1.0),)
+    assert path.rankings[0].ranks == (2, 3, 4, 1)
+    assert path.rankings[1].ranks == (4, 3, 2, 1)
+    assert path.distances_from_precision == (Fraction(0), Fraction(3, 6))
+    assert_path_matches_direct_probing(pset, path)
+    assert path.n_plateaus == dense_grid_plateaus(pset, path)
+    # the block is tied at its own beta: discordant with neither endpoint
+    assert direct_sides(pset, path.transition_betas[0]) == (0, 0)
+    assert frechet_variance(pset, path.transition_betas[0]) == 0.0
+
+
+def test_near_tied_recalls_tie_over_a_wide_band_of_beta():
+    # recalls 1e-9 apart: the pairs cross near beta^2 = 1e8 and their
+    # F-scores stay within TIE_TOL over a relative 1e-3 of beta^2 there,
+    # so all three pairs are tied at each other's crossing
+    offset = 1.0001e8
+    pset = roc_pset([(0.1, 0.5), (0.3, 0.5 + 1e-9), (0.6, 0.5 + 0.25 / (offset + 0.1)), (0.05, 0.9)])
+    assert pair_crossings(pset).n_crossings == 3
+    betas = probe_betas(pset)
+    for b, v in frechet_curve(pset, betas=betas):
+        assert v == direct_variance(pset, b)
+    for t in pair_crossings(pset).thetas:
+        assert direct_sides(pset, math.sqrt(t)) == (0, 0)
+        assert equidistance_gap(pset, t) == 0
+
+
+def test_overflowing_beta_fails_like_direct_ranking():
+    pset = roc_pset([(0.1, 0.6), (0.4, 0.7), (0.2, 0.8)])
+    with pytest.raises(UndefinedScoreError):
+        rank_by_score(pset, fbeta(1e200))
+    with pytest.raises(UndefinedScoreError):
+        frechet_variance(pset, 1e200)
+    assert frechet_variance(pset, math.inf) == direct_variance(pset, math.inf)
