@@ -24,7 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import distributions as dist
 from .ingest import IngestError, ingest
@@ -439,23 +438,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _f1_equidistance_prior(family: str) -> float:
-    """The prior at which the balanced F-score equalizes both correlation sides."""
-    tau = (
-        dist.analytic_tau_fixed_priors
-        if family == "pi3"
-        else dist.analytic_tau_above_no_skill
-    )
-
-    def gap(p: float) -> float:
-        off = p / (1.0 - p)
-        return tau("pr", off) - tau("re", off)
-
-    # bracket kept well inside (0, 1): the closed forms cancel badly for
-    # extreme vertex offsets, and the root is near 1/3 for both families
-    return float(brentq(gap, 1e-3, 1.0 - 1e-3, xtol=1e-10))
-
-
 def cmd_table1(args) -> int:
     config = {"command": "table1", "pairs": args.pairs, "seed": args.seed}
     chash = _config_hash(config)
@@ -491,8 +473,8 @@ def cmd_table1(args) -> int:
         ]
         cells.append((f"{family}_sivf_degree", sum(vals) / len(vals), expected, 0.01))
 
-    cells.append(("pi3_f1_prior", _f1_equidistance_prior("pi3"), 0.381, 0.01))
-    cells.append(("pi4_f1_prior", _f1_equidistance_prior("pi4"), 0.325, 0.01))
+    cells.append(("pi3_f1_prior", dist.f1_equidistance_prior("pi3"), 0.381, 0.01))
+    cells.append(("pi4_f1_prior", dist.f1_equidistance_prior("pi4"), 0.325, 0.01))
     cells.append(
         (
             "pi5_sivf_prior",

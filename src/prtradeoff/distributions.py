@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .scores import Performance, ScoreFunction, TIE_TOL, score_values
 
@@ -107,28 +108,35 @@ def _roc_to_parts(fpr: np.ndarray, tpr: np.ndarray, prior_pos: float) -> np.ndar
     )
 
 
+def _redraw_below_diagonal(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
+    """pi4's rejection step, in place: redraw (x, y) wherever y < x."""
+    bad = y < x
+    while bad.any():
+        k = int(bad.sum())
+        x[bad] = rng.uniform(0.0, 1.0, k)
+        y[bad] = rng.uniform(0.0, 1.0, k)
+        bad = y < x
+
+
 def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4) array of performances drawn from the family."""
     fam = spec.family
+    # row sums as explicit column additions: the same order of addition as
+    # e.sum(axis=1), without a reduction over a short axis
     if fam == "pi1":
         e = rng.standard_exponential((n, 4))
-        return e / e.sum(axis=1, keepdims=True)
+        return e / (e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3])[:, None]
     if fam == "pi2":
         e = rng.standard_exponential((n, 3))
         parts = np.empty((n, 4))
         parts[:, 0] = spec.ptn
-        parts[:, 1:] = (1.0 - spec.ptn) * e / e.sum(axis=1, keepdims=True)
+        parts[:, 1:] = (1.0 - spec.ptn) * e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
         return parts
     p = spec.prior_pos
     fpr = rng.uniform(0.0, 1.0, n)
     tpr = rng.uniform(0.0, 1.0, n)
     if fam == "pi4":
-        bad = tpr < fpr
-        while bad.any():
-            k = int(bad.sum())
-            fpr[bad] = rng.uniform(0.0, 1.0, k)
-            tpr[bad] = rng.uniform(0.0, 1.0, k)
-            bad = tpr < fpr
+        _redraw_below_diagonal(rng, fpr, tpr)
         return _roc_to_parts(fpr, tpr, p)
     if fam == "pi5":
         fpr = fpr * p
@@ -163,6 +171,7 @@ class McEstimate:
     half_width: float
     n_pairs: int
     seed: int
+    redrawn: int = 0  # degenerate pairs replaced by fresh draws
 
 
 def mc_kendall_tau(
@@ -218,7 +227,7 @@ def mc_kendall_tau(
         raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
     p_hat = discordant / n_pairs
     half_width = 1.96 * 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n_pairs)
-    return McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed)
+    return McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed, redrawn)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +330,22 @@ def optimal_vertex_offset(family: str) -> float:
     return golden_section_min(variance, 1e-4, 10.0)
 
 
+def f1_equidistance_prior(family: str) -> float:
+    """The prior at which the balanced F-score equalizes both correlation sides, under pi3 or pi4."""
+    try:
+        tau = _ANALYTIC_TAU[family]
+    except KeyError:
+        raise ValueError(f"family must be pi3 or pi4, got {family!r}") from None
+
+    def gap(p: float) -> float:
+        off = p / (1.0 - p)  # the balanced F-score's vertex offset at this prior
+        return tau("pr", off) - tau("re", off)
+
+    # bracket kept well inside (0, 1): the closed forms cancel badly for
+    # extreme vertex offsets, and the root is near 1/3 for both families
+    return float(brentq(gap, 1e-3, 1.0 - 1e-3, xtol=1e-10))
+
+
 def beta_for_offset(offset: float, prior_pos: float) -> tuple[float, float]:
     """(beta^2, recall weight b) of the F-score with the given vertex offset at the given prior."""
     p = float(prior_pos)
@@ -337,11 +362,32 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Near-oracle (pi5) numerics.  No closed form is available for the
-# correlations against the F-scores, so the optimal offset is located by
+# correlations against the F-scores, so the optimal offset (at a fixed
+# prior) and the prior at which offset 1 is optimal are located by
 # bisection on the equidistance gap, Monte Carlo estimated with common
 # random numbers so the gap is a fixed deterministic function of the
-# offset during the search.
+# probe during the search.
+#
+# On the frozen pairs each side of the gap is a count: A pairs ordered by
+# the F-score against precision, B against recall.  A pair changes sides
+# only at its breakpoints in the probed variable, so both searches sort
+# the breakpoints once (``_SideCounts``) and count them at each probe
+# instead of evaluating every pair again.  A pair with a breakpoint inside
+# a band around the probe, and every ill-conditioned pair at every probe,
+# is decided by the float sign expressions of a full pass
+# (``_discordant``), so every probe sees exactly a full pass's counts.
 # ---------------------------------------------------------------------------
+
+# Half-width, relative to 1 + probe, of the band of breakpoints around a
+# probe whose pairs are decided by their own sign expressions.  For a
+# well-conditioned pair the float signs of a full pass can disagree with
+# its exact breakpoints only within about 1e-9 of them, far inside the
+# band, so the band moves work between the two routes, never a result.
+_NEAR_BAND = 1e-6
+# Pairs whose slope, leading coefficient or discriminant is below this in
+# magnitude are decided directly at every probe: their breakpoints are
+# unstable or their signs barely leave zero.
+_ILL_CONDITIONED = 1e-5
 
 
 def _pencil_sign(x1, y1, x2, y2, offset: float) -> np.ndarray:
@@ -356,23 +402,178 @@ def _near_oracle_uniforms(n_pairs: int, seed: int):
     return tuple(rng.uniform(0.0, 1.0, n_pairs) for _ in range(4))
 
 
-def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
-    """(tau(Pr, F), tau(F, Re)) under pi5, on frozen uniform draws."""
+def _near_oracle_points(uniforms, prior_pos: float):
+    """ROC points (x1, y1, x2, y2) of the frozen pairs at a prior, under pi5."""
     ux, uy, vx, vy = uniforms
     p = prior_pos
-    x1, y1 = ux * p, p + uy * (1.0 - p)
-    x2, y2 = vx * p, p + vy * (1.0 - p)
+    return ux * p, p + uy * (1.0 - p), vx * p, p + vy * (1.0 - p)
+
+
+def _discordant(points, offset: float) -> np.ndarray:
+    """[A, B]: pairs the pencil score orders against precision, and against recall."""
+    x1, y1, x2, y2 = points
     s_pr = _pencil_sign(x1, y1, x2, y2, 0.0)
     s_re = np.sign(y1 - y2)
     s_f = _pencil_sign(x1, y1, x2, y2, offset)
-    tau_pr = 1.0 - 4.0 * np.mean((s_pr < 0) & (s_f > 0))
-    tau_re = 1.0 - 4.0 * np.mean((s_f < 0) & (s_re > 0))
-    return float(tau_pr), float(tau_re)
+    return np.array(
+        [np.count_nonzero((s_pr < 0) & (s_f > 0)), np.count_nonzero((s_f < 0) & (s_re > 0))]
+    )
 
 
-def _near_oracle_gap(uniforms, prior_pos: float, offset: float) -> float:
-    tau_pr, tau_re = _near_oracle_sides(uniforms, prior_pos, offset)
-    return tau_pr - tau_re
+def _tau(discordant, n_pairs: int) -> float:
+    return float(1.0 - 4.0 * (discordant / n_pairs))
+
+
+def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
+    """(tau(Pr, F), tau(F, Re)) under pi5, on frozen uniform draws."""
+    n = len(uniforms[0])
+    a, b = _discordant(_near_oracle_points(uniforms, prior_pos), offset)
+    return _tau(a, n), _tau(b, n)
+
+
+def _near_oracle_gap(counts, n_pairs: int) -> float:
+    """tau(Pr, F) - tau(F, Re) from the discordant counts [A, B]."""
+    return _tau(counts[0], n_pairs) - _tau(counts[1], n_pairs)
+
+
+class _SideCounts:
+    """[A, B] on frozen pairs at any probe of one variable, from breakpoints sorted once.
+
+    ``direct(ids, probe)`` counts the pairs ``ids`` by full-pass
+    arithmetic; it decides the ``irregular`` pairs at every probe.  Each
+    regular pair ``ids[i]`` enters with ``start[:, i]``, its (A, B) just
+    above 0, and with one entry in each of ``slots``, a list of (values,
+    jumps) arrays that this consumes.  Across the slots a pair's values
+    increase; a value <= 0 or NaN is no breakpoint, and the (2, m) jumps
+    change (A, B) at it.  Probes lie in (lo, hi): breakpoints below ``lo``
+    minus the widest band are folded into the starting counts, and those
+    above ``hi`` plus it are dropped.
+    """
+
+    def __init__(self, direct, irregular, ids, start, slots: list, lo: float, hi: float):
+        self.direct = direct
+        self.irregular = irregular
+        left = lo - 2.0 * _NEAR_BAND * (1.0 + lo)
+        right = hi + 2.0 * _NEAR_BAND * (1.0 + hi)
+        self.base = start.sum(axis=1)
+        state = start
+        kept = []
+        while slots:  # consumed slot by slot, to free each as soon as it is used
+            values, jumps = slots.pop(0)
+            fold = (values > 0) & (values < left)
+            self.base += jumps[:, fold].sum(axis=1)
+            state[:, fold] += jumps[:, fold]
+            k = np.flatnonzero((values >= left) & (values <= right))
+            kept.append((values[k], ids[k], state[:, k], jumps[:, k]))
+            state[:, k] += jumps[:, k]
+        values, pairs, before, jumps = (np.concatenate(x, axis=-1) for x in zip(*kept))
+        del kept
+        order = np.argsort(values)
+        self.values = values[order]
+        self.pairs = pairs[order]
+        self.before = before[:, order]  # (A, B) of the pair just below the breakpoint
+        self.cum = np.zeros((2, len(order) + 1), np.int32)
+        np.cumsum(jumps[:, order], axis=1, out=self.cum[:, 1:])
+
+    def __call__(self, probe: float) -> np.ndarray:
+        band = _NEAR_BAND * (1.0 + probe)
+        k0 = np.searchsorted(self.values, probe - band, "left")
+        k1 = np.searchsorted(self.values, probe + band, "right")
+        counts = self.base + self.cum[:, k0]
+        if k1 > k0:
+            # pairs with a breakpoint in the band: replace their state below it
+            ids, first = np.unique(self.pairs[k0:k1], return_index=True)
+            counts += self.direct(ids, probe) - self.before[:, k0 + first].sum(axis=1)
+        if self.irregular.size:
+            counts += self.direct(self.irregular, probe)
+        return counts
+
+
+def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCounts:
+    """[A, B] at any vertex offset in (lo, hi), at a fixed prior.
+
+    Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
+    once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
+    above it in A.  The sample median of these crossings equalizes the
+    sides, which is the median theorem at the level of pairs.
+    """
+    points = _near_oracle_points(uniforms, prior_pos)
+    x1, y1, x2, y2 = points
+    slope = y1 - y2
+    irregular = np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
+    live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
+    ell = (y2[live] * x1[live] - y1[live] * x2[live]) / slope[live]
+    live = live.astype(np.int32)
+    del slope
+    passed = ell <= 0
+    start = np.stack([passed, ~passed]).astype(np.int8)
+    jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
+
+    def direct(ids, probe):
+        return _discordant(tuple(v[ids] for v in points), probe)
+
+    return _SideCounts(direct, irregular, live, start, [(ell, jumps)], lo, hi)
+
+
+def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
+    """[A, B] at any prior in (lo, hi), for the offset-1 (skew-insensitive) score.
+
+    With a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision and
+    F orders of a pair at prior p are the signs of g(p) = b + (a - b) p and
+    h(p) = p g(p) + (1 - p) c, and recall's is the sign of c.  So
+    A = [g < 0 < h] and B = [h < 0 < c], and only pairs with c > 0 count.
+    Their breakpoints are the root of g and the real roots of h.  In (0, 1)
+    g < 0 at every root of h and h > 0 at the root of g, so each root's
+    jump follows from the sign of a - b alone, and the roots come in the
+    order r1 < r2 < root of g when a - b > 0, and the reverse when not.
+    """
+    ids = np.flatnonzero(uniforms[1] - uniforms[3] > -_ILL_CONDITIONED).astype(np.int32)
+    ux, uy, vx, vy = (u[ids] for u in uniforms)
+    c = uy - vy
+    b = uy * vx
+    b -= vy * ux
+    lead = vx - ux
+    lead -= b
+    del ux, uy, vx, vy
+    q = b - c
+    disc = q * q
+    disc -= 4.0 * lead * c
+    ill = (
+        (c < _ILL_CONDITIONED)
+        | (np.abs(lead) < _ILL_CONDITIONED)
+        | (np.abs(disc) < _ILL_CONDITIONED)
+    )
+    irregular = ids[ill]
+    lead[ill] = np.nan  # no breakpoints: these pairs are decided directly
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.sqrt(disc)  # NaN without real roots
+        np.copysign(w, q, out=w)
+        w += q
+        w *= -0.5
+        del q, disc
+        r1 = w / lead
+        r2 = np.divide(c, w, out=w)
+        r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
+        g_root = -b / lead
+        up = lead > 0
+    del b, c, lead
+    sign = np.where(up, 1, -1).astype(np.int8)
+    start = np.stack([(g_root > 0) == up, np.zeros_like(up)]).astype(np.int8)
+    start[:, ill] = 0
+    at_g = np.stack([-sign, np.zeros_like(sign)])
+    at_r1 = np.stack([-sign, sign])
+    at_r2 = -at_r1
+    slots = [
+        (np.where(up, r1, g_root), np.where(up, at_r1, at_g)),
+        (np.where(up, r2, r1), np.where(up, at_r2, at_r1)),
+        (np.where(up, g_root, r2), np.where(up, at_g, at_r2)),
+    ]
+    del r1, r2, g_root
+
+    def direct(pair_ids, probe):
+        return _discordant(_near_oracle_points(tuple(u[pair_ids] for u in uniforms), probe), 1.0)
+
+    return _SideCounts(direct, irregular, ids, start, slots, lo, hi)
 
 
 def mc_tau_sides_near_oracle(
@@ -392,11 +593,11 @@ def mc_optimal_vertex_offset_near_oracle(
     p = float(prior_pos)
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
-    uniforms = _near_oracle_uniforms(n_pairs, seed)
     lo, hi = 1e-4, 100.0
+    counts = _offset_counts(_near_oracle_uniforms(n_pairs, seed), p, lo, hi)
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        if _near_oracle_gap(uniforms, p, mid) > 0:
+        if _near_oracle_gap(counts(mid), n_pairs) > 0:
             lo = mid  # too close to precision: increase the offset
         else:
             hi = mid
@@ -425,13 +626,8 @@ def mc_pencil_optimality(
     x1, y1 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
     x2, y2 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
     if family == "pi4":
-        for x, y in ((x1, y1), (x2, y2)):
-            bad = y < x
-            while bad.any():
-                k = int(bad.sum())
-                x[bad] = rng.uniform(0.0, 1.0, k)
-                y[bad] = rng.uniform(0.0, 1.0, k)
-                bad = y < x
+        _redraw_below_diagonal(rng, x1, y1)
+        _redraw_below_diagonal(rng, x2, y2)
     s_pr = _pencil_sign(x1, y1, x2, y2, 0.0)
     s_re = np.sign(y1 - y2)
     s_cand = _pencil_sign(x1, y1, x2, y2, candidate_offset)
@@ -450,11 +646,11 @@ def sivf_equidistance_prior_near_oracle(n_pairs: int = 10**6, seed: int = 0) -> 
     The skew-insensitive score has vertex offset 1 at every prior; this
     finds the prior whose optimal offset is 1 (about 0.561).
     """
-    uniforms = _near_oracle_uniforms(n_pairs, seed)
     lo, hi = 0.05, 0.95
+    counts = _prior_counts(_near_oracle_uniforms(n_pairs, seed), lo, hi)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _near_oracle_gap(uniforms, mid, 1.0) > 0:
+        if _near_oracle_gap(counts(mid), n_pairs) > 0:
             hi = mid
         else:
             lo = mid

@@ -23,6 +23,7 @@ from prtradeoff import (
     cli,
     equidistance_gap,
     evaluate,
+    f1_equidistance_prior,
     fbeta,
     fixed_priors_spec,
     fixed_tn_spec,
@@ -41,7 +42,6 @@ from prtradeoff import (
     sivf_equidistance_prior_near_oracle,
     uniform_spec,
 )
-from prtradeoff.cli import _f1_equidistance_prior
 
 N_PAIRS = 10**6
 
@@ -169,10 +169,10 @@ def test_acceptance_07_summary_table_cells():
         if abs(got - expected) > 0.01:
             bad.append(f"{family} SIVF degree {got:.4f} vs {expected:.4f}")
 
-    p3 = _f1_equidistance_prior("pi3")
+    p3 = f1_equidistance_prior("pi3")
     if abs(p3 - 0.381) > 0.01:
         bad.append(f"pi3 F1 prior {p3:.4f}")
-    p4 = _f1_equidistance_prior("pi4")
+    p4 = f1_equidistance_prior("pi4")
     if abs(p4 - 0.325) > 0.01:
         bad.append(f"pi4 F1 prior {p4:.4f}")
 

@@ -17,6 +17,7 @@ from prtradeoff import (
     analytic_tau_fixed_priors,
     analytic_tau_pr_re_near_oracle,
     beta_for_offset,
+    f1_equidistance_prior,
     fixed_priors_spec,
     fixed_tn_spec,
     golden_section_min,
@@ -31,6 +32,7 @@ from prtradeoff import (
     sivf_equidistance_prior_near_oracle,
     uniform_spec,
 )
+from prtradeoff import distributions as dist
 
 OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
 
@@ -136,6 +138,21 @@ def test_redraw_guard_trips_on_constant_score():
         mc_kendall_tau(fixed_tn_spec(0.0), FPR, RECALL, 1000, 0)
 
 
+def test_mc_tau_reports_redrawn_pairs(monkeypatch):
+    assert mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6).redrawn == 0
+    real = dist.score_values
+
+    def undefined_near_zero_tp(score, parts):
+        # about 0.3% of uniform performances: redrawn, but under the 1% guard
+        values = real(score, parts)
+        values[parts[:, 3] < 1e-3] = np.nan
+        return values
+
+    monkeypatch.setattr(dist, "score_values", undefined_near_zero_tp)
+    est = mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6)
+    assert 0 < est.redrawn <= 0.01 * est.n_pairs
+
+
 def test_analytic_sum_identities():
     for off in OFFSETS:
         s3 = analytic_tau_fixed_priors("pr", off) + analytic_tau_fixed_priors("re", off)
@@ -173,6 +190,14 @@ def test_optimal_vertex_offset_constants():
     ) <= 1e-6
     with pytest.raises(ValueError):
         optimal_vertex_offset("pi1")
+
+
+def test_f1_equidistance_prior():
+    for family, tau in (("pi3", analytic_tau_fixed_priors), ("pi4", analytic_tau_above_no_skill)):
+        p = f1_equidistance_prior(family)
+        assert abs(tau("pr", p / (1 - p)) - tau("re", p / (1 - p))) <= 1e-8
+    with pytest.raises(ValueError):
+        f1_equidistance_prior("pi5")
 
 
 def test_adapted_beta():

@@ -1,9 +1,12 @@
-"""Golden outputs of ``analyze`` on two frozen inputs.
+"""Golden outputs of ``analyze`` on two frozen inputs, and of ``table1`` and ``sweep``.
 
-The hashes and the compressed ``pca.csv`` files under ``data/golden``
-were produced by the implementation that probed every plateau by
-re-ranking all items, before the finite-set engine switched to counting
-crossings.  Both CLI runs use a relative ``--input`` from inside
+The ``analyze`` hashes and the compressed ``pca.csv`` files under
+``data/golden`` were produced by the implementation that probed every
+plateau by re-ranking all items, before the finite-set engine switched
+to counting crossings.  The ``table1`` and ``sweep`` hashes were produced
+by the implementation whose near-oracle searches evaluated every frozen
+pair at every bisection probe, before they switched to counting sorted
+breakpoints.  Both CLI runs use a relative ``--input`` from inside
 ``tests/data``, because the input path is part of the config hash that
 every output carries.  ``pca.csv`` goes through an eigendecomposition
 whose last bits depend on the linear-algebra library, so it is compared
@@ -75,3 +78,46 @@ def test_analyze_matches_golden_outputs(key, tmp_path, monkeypatch):
     assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-9)
     assert got[2:4] == want[2:4]
     np.testing.assert_allclose(got[4], want[4], rtol=1e-9, atol=1e-9)
+
+
+DISTRIBUTION_GOLDEN = {
+    ("table1", "--pairs", "150000", "--seed", "0"): {
+        "table1.json": "9cfdf2b03ac8e3e173cd05d8cad663dbac328bb0f1936b9b3bb862ecc58d54f4",
+        "table1.csv": "a8499b408d193770f44238c8e23427d2ccd75f75b6c126e7dac077136339e06d",
+    },
+    ("sweep", "--family", "pi1", "--pairs", "20000"): {
+        "summary.json": "5b7bd89f93f0d2da559facbef9a2a244d76a73712a3b77eb40ebbf2ce2a883c4",
+        "taus.csv": "9b8f4d59f4c97c652616e70d347d662fad4713277e39eb07cd5abfd4403f1eae",
+    },
+    ("sweep", "--family", "pi2", "--param", "0.3", "--pairs", "20000"): {
+        "summary.json": "689d3351c32aab645a1b2bb30d8b70809a46ff0374e63ddd853b4cb03bb7b13a",
+        "taus.csv": "4a2907f178c3d55589e261272c05715e0da6df1f658a3032daa2610d64fe4c4a",
+    },
+    ("sweep", "--family", "pi4", "--param", "0.3", "--pairs", "20000"): {
+        "adaptation.csv": "1110bef9a72e30d313bbea297de4e145e48c5b747adac9026c2c1af19bae5947",
+        "analytic_correlations.csv": "a6eff7a7c37548a5964fb9c6ee8e2dd66c3f022d9c273bdc66fe40ca7c49b8b1",
+        "f1_equidistance.csv": "24097ce95ad949a8ee7295d4f38eb993b5ea88fe5233484bc4074cd6981f5e6d",
+        "mc_validation.csv": "5d7ee9fd92d32bc385764a91fceb713ce120703cac06b4612d1570dada0b800c",
+        "summary.json": "d0a6306064208e4e22f88d12561f8188ef74f9b5052d3cc2eedb1fade74830d9",
+    },
+    ("sweep", "--family", "pi5", "--param", "0.3", "--pairs", "20000"): {
+        "adaptation.csv": "cbed91ca9f3b6c93fe76ececc2c5d42fc612a5261c8e0ccb52c6981a1d363260",
+        "f1_equidistance.csv": "5f532c5160648b584530c46f9e3f70453723d03096ce5d39a681023ef128c697",
+        "pr_re.csv": "ad9664cc75c81a4bf3843f1baff34068f23376132b77544665bea3fbd8e4ed34",
+        "summary.json": "3b3e2a17251117fda813f9b07a88cd636d602d8b1aa7858ac02798683c55c781",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(DISTRIBUTION_GOLDEN),
+    ids=[a[0] if a[0] == "table1" else f"sweep-{a[2]}" for a in DISTRIBUTION_GOLDEN],
+)
+def test_distribution_commands_match_golden_outputs(argv, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    want = DISTRIBUTION_GOLDEN[argv]
+    assert sorted(f.name for f in out.iterdir()) == sorted(want)
+    for fname, digest in want.items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
