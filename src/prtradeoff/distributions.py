@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .ranking import _SideCounts
 from .scores import Performance, ScoreFunction, TIE_TOL, score_values
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
@@ -118,6 +119,11 @@ def _redraw_below_diagonal(rng: np.random.Generator, x: np.ndarray, y: np.ndarra
         bad = y < x
 
 
+def _near_oracle_roc(u, v, prior_pos):
+    """pi5's ROC point (fpr, tpr) for uniforms (u, v): fpr below the prior, tpr above it."""
+    return u * prior_pos, prior_pos + v * (1.0 - prior_pos)
+
+
 def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4) array of performances drawn from the family."""
     fam = spec.family
@@ -139,14 +145,13 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
         _redraw_below_diagonal(rng, fpr, tpr)
         return _roc_to_parts(fpr, tpr, p)
     if fam == "pi5":
-        fpr = fpr * p
-        tpr = p + tpr * (1.0 - p)
+        fpr, tpr = _near_oracle_roc(fpr, tpr, p)
         # strict fpr < prior < tpr: float rounding can touch the edges
         bad = (fpr >= p) | (tpr <= p)
         while bad.any():
             k = int(bad.sum())
-            fpr[bad] = rng.uniform(0.0, 1.0, k) * p
-            tpr[bad] = p + rng.uniform(0.0, 1.0, k) * (1.0 - p)
+            u, v = rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k)
+            fpr[bad], tpr[bad] = _near_oracle_roc(u, v, p)
             bad = (fpr >= p) | (tpr <= p)
         return _roc_to_parts(fpr, tpr, p)
     return _roc_to_parts(fpr, tpr, p)
@@ -174,6 +179,11 @@ class McEstimate:
     redrawn: int = 0  # degenerate pairs replaced by fresh draws
 
 
+def _check_n_pairs(n_pairs: int) -> None:
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+
+
 def mc_kendall_tau(
     spec: DistributionSpec,
     score1: ScoreFunction,
@@ -188,8 +198,7 @@ def mc_kendall_tau(
     events have measure zero for the supported families, so a redraw rate
     above 1% aborts with ``RedrawLimitError``.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
+    _check_n_pairs(n_pairs)
     done = 0
     block = 0
     discordant = 0
@@ -378,21 +387,20 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 # (``_discordant``), so every probe sees exactly a full pass's counts.
 # ---------------------------------------------------------------------------
 
-# Half-width, relative to 1 + probe, of the band of breakpoints around a
-# probe whose pairs are decided by their own sign expressions.  For a
-# well-conditioned pair the float signs of a full pass can disagree with
-# its exact breakpoints only within about 1e-9 of them, far inside the
-# band, so the band moves work between the two routes, never a result.
-_NEAR_BAND = 1e-6
 # Pairs whose slope, leading coefficient or discriminant is below this in
 # magnitude are decided directly at every probe: their breakpoints are
-# unstable or their signs barely leave zero.
+# unstable or their signs barely leave zero.  For every other pair the
+# float signs of a full pass can disagree with its exact breakpoints only
+# within about 1e-9 of them, far inside the kernel's band.
 _ILL_CONDITIONED = 1e-5
 
 
-def _pencil_sign(x1, y1, x2, y2, offset: float) -> np.ndarray:
-    """Sign of score(point1) - score(point2) for the pencil score y / (x + offset)."""
-    if math.isinf(offset):
+def _pencil_sign(x1, y1, x2, y2, offset) -> np.ndarray:
+    """Sign of score(point1) - score(point2) for the pencil score y / (x + offset).
+
+    ``offset`` is a scalar or one finite offset per pair.
+    """
+    if np.ndim(offset) == 0 and math.isinf(offset):
         return np.sign(y1 - y2)
     return np.sign(y1 * (x2 + offset) - y2 * (x1 + offset))
 
@@ -405,19 +413,16 @@ def _near_oracle_uniforms(n_pairs: int, seed: int):
 def _near_oracle_points(uniforms, prior_pos: float):
     """ROC points (x1, y1, x2, y2) of the frozen pairs at a prior, under pi5."""
     ux, uy, vx, vy = uniforms
-    p = prior_pos
-    return ux * p, p + uy * (1.0 - p), vx * p, p + vy * (1.0 - p)
+    return (*_near_oracle_roc(ux, uy, prior_pos), *_near_oracle_roc(vx, vy, prior_pos))
 
 
-def _discordant(points, offset: float) -> np.ndarray:
-    """[A, B]: pairs the pencil score orders against precision, and against recall."""
+def _discordant(points, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair flags (in A, in B): the pencil score orders it against precision, recall."""
     x1, y1, x2, y2 = points
     s_pr = _pencil_sign(x1, y1, x2, y2, 0.0)
     s_re = np.sign(y1 - y2)
     s_f = _pencil_sign(x1, y1, x2, y2, offset)
-    return np.array(
-        [np.count_nonzero((s_pr < 0) & (s_f > 0)), np.count_nonzero((s_f < 0) & (s_re > 0))]
-    )
+    return (s_pr < 0) & (s_f > 0), (s_f < 0) & (s_re > 0)
 
 
 def _tau(discordant, n_pairs: int) -> float:
@@ -427,66 +432,14 @@ def _tau(discordant, n_pairs: int) -> float:
 def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
     """(tau(Pr, F), tau(F, Re)) under pi5, on frozen uniform draws."""
     n = len(uniforms[0])
-    a, b = _discordant(_near_oracle_points(uniforms, prior_pos), offset)
+    points = _near_oracle_points(uniforms, prior_pos)
+    a, b = (np.count_nonzero(side) for side in _discordant(points, offset))
     return _tau(a, n), _tau(b, n)
 
 
 def _near_oracle_gap(counts, n_pairs: int) -> float:
     """tau(Pr, F) - tau(F, Re) from the discordant counts [A, B]."""
     return _tau(counts[0], n_pairs) - _tau(counts[1], n_pairs)
-
-
-class _SideCounts:
-    """[A, B] on frozen pairs at any probe of one variable, from breakpoints sorted once.
-
-    ``direct(ids, probe)`` counts the pairs ``ids`` by full-pass
-    arithmetic; it decides the ``irregular`` pairs at every probe.  Each
-    regular pair ``ids[i]`` enters with ``start[:, i]``, its (A, B) just
-    above 0, and with one entry in each of ``slots``, a list of (values,
-    jumps) arrays that this consumes.  Across the slots a pair's values
-    increase; a value <= 0 or NaN is no breakpoint, and the (2, m) jumps
-    change (A, B) at it.  Probes lie in (lo, hi): breakpoints below ``lo``
-    minus the widest band are folded into the starting counts, and those
-    above ``hi`` plus it are dropped.
-    """
-
-    def __init__(self, direct, irregular, ids, start, slots: list, lo: float, hi: float):
-        self.direct = direct
-        self.irregular = irregular
-        left = lo - 2.0 * _NEAR_BAND * (1.0 + lo)
-        right = hi + 2.0 * _NEAR_BAND * (1.0 + hi)
-        self.base = start.sum(axis=1)
-        state = start
-        kept = []
-        while slots:  # consumed slot by slot, to free each as soon as it is used
-            values, jumps = slots.pop(0)
-            fold = (values > 0) & (values < left)
-            self.base += jumps[:, fold].sum(axis=1)
-            state[:, fold] += jumps[:, fold]
-            k = np.flatnonzero((values >= left) & (values <= right))
-            kept.append((values[k], ids[k], state[:, k], jumps[:, k]))
-            state[:, k] += jumps[:, k]
-        values, pairs, before, jumps = (np.concatenate(x, axis=-1) for x in zip(*kept))
-        del kept
-        order = np.argsort(values)
-        self.values = values[order]
-        self.pairs = pairs[order]
-        self.before = before[:, order]  # (A, B) of the pair just below the breakpoint
-        self.cum = np.zeros((2, len(order) + 1), np.int32)
-        np.cumsum(jumps[:, order], axis=1, out=self.cum[:, 1:])
-
-    def __call__(self, probe: float) -> np.ndarray:
-        band = _NEAR_BAND * (1.0 + probe)
-        k0 = np.searchsorted(self.values, probe - band, "left")
-        k1 = np.searchsorted(self.values, probe + band, "right")
-        counts = self.base + self.cum[:, k0]
-        if k1 > k0:
-            # pairs with a breakpoint in the band: replace their state below it
-            ids, first = np.unique(self.pairs[k0:k1], return_index=True)
-            counts += self.direct(ids, probe) - self.before[:, k0 + first].sum(axis=1)
-        if self.irregular.size:
-            counts += self.direct(self.irregular, probe)
-        return counts
 
 
 def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCounts:
@@ -509,8 +462,8 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
     start = np.stack([passed, ~passed]).astype(np.int8)
     jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
 
-    def direct(ids, probe):
-        return _discordant(tuple(v[ids] for v in points), probe)
+    def direct(probes, k, ids):
+        return _discordant(tuple(v[ids] for v in points), probes[k])
 
     return _SideCounts(direct, irregular, live, start, [(ell, jumps)], lo, hi)
 
@@ -570,8 +523,8 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
     ]
     del r1, r2, g_root
 
-    def direct(pair_ids, probe):
-        return _discordant(_near_oracle_points(tuple(u[pair_ids] for u in uniforms), probe), 1.0)
+    def direct(probes, k, ids):
+        return _discordant(_near_oracle_points(tuple(u[ids] for u in uniforms), probes[k]), 1.0)
 
     return _SideCounts(direct, irregular, ids, start, slots, lo, hi)
 
@@ -583,6 +536,7 @@ def mc_tau_sides_near_oracle(
     p = float(prior_pos)
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    _check_n_pairs(n_pairs)
     return _near_oracle_sides(_near_oracle_uniforms(n_pairs, seed), p, offset)
 
 
@@ -593,6 +547,7 @@ def mc_optimal_vertex_offset_near_oracle(
     p = float(prior_pos)
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    _check_n_pairs(n_pairs)
     lo, hi = 1e-4, 100.0
     counts = _offset_counts(_near_oracle_uniforms(n_pairs, seed), p, lo, hi)
     for _ in range(60):
@@ -620,6 +575,7 @@ def mc_pencil_optimality(
     """
     if family not in ("pi3", "pi4"):
         raise ValueError(f"family must be pi3 or pi4, got {family!r}")
+    _check_n_pairs(n_pairs)
     if optimal_offset is None:
         optimal_offset = optimal_vertex_offset(family)
     rng = _generator(seed)
@@ -646,6 +602,7 @@ def sivf_equidistance_prior_near_oracle(n_pairs: int = 10**6, seed: int = 0) -> 
     The skew-insensitive score has vertex offset 1 at every prior; this
     finds the prior whose optimal offset is 1 (about 0.561).
     """
+    _check_n_pairs(n_pairs)
     lo, hi = 0.05, 0.95
     counts = _prior_counts(_near_oracle_uniforms(n_pairs, seed), lo, hi)
     for _ in range(50):

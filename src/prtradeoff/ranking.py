@@ -130,6 +130,96 @@ def discordance(r1: Ranking, r2: Ranking) -> tuple[int, int]:
     return discordant, n * (n - 1) // 2
 
 
+# Half-width, relative to 1 + probe, of the band of breakpoints around a
+# probe whose pairs ``_SideCounts`` decides directly.  It sets only how much
+# work goes to those direct decisions, never a result.
+_BAND = 1e-6
+# Most (probe, pair) combinations of irregular pairs decided at once: bounds memory.
+_BLOCK = 1 << 18
+
+
+class _SideCounts:
+    """Discordant-pair counts [A, B] at any probe of one variable, from breakpoints sorted once.
+
+    Along a one-parameter family of scores a pair changes its state (in A,
+    in B, or neither) only at its breakpoints in the parameter, so the
+    counts at a probe are the states of all pairs past their breakpoints,
+    found with ``searchsorted``.  ``direct(probes, k, ids)`` decides pair
+    ``ids[t]`` at ``probes[k[t]]`` for every t and returns two boolean
+    arrays: whether each of these combos is in A, and whether it is in B.
+    It decides each pair with a breakpoint within ``_BAND (1 + probe)`` of
+    a probe, and the ``irregular`` pairs at every probe.
+
+    Each regular pair ``ids[i]`` enters with ``start[:, i]``, its (A, B)
+    below every breakpoint, and with one entry in each of ``slots``, a list
+    of (values, jumps) arrays that this consumes.  Across the slots a
+    pair's values increase, and the (2, m) jumps change (A, B) at them.
+    Probes lie in [lo, hi]: breakpoints above ``hi`` plus the widest band
+    are dropped, and positive ones below ``lo`` minus it are folded into
+    the starting counts.  NaN is no breakpoint, nor is a value <= 0 below
+    that range.
+    """
+
+    def __init__(self, direct, irregular, ids, start, slots: list, lo: float, hi: float):
+        self.direct = direct
+        self.irregular = irregular
+        left = lo - 2.0 * _BAND * (1.0 + lo)
+        right = hi + 2.0 * _BAND * (1.0 + hi)
+        self.base = start.sum(axis=1)
+        state = start
+        kept = []
+        while slots:  # consumed slot by slot, to free each as soon as it is used
+            values, jumps = slots.pop(0)
+            fold = (values > 0) & (values < left)
+            self.base += jumps[:, fold].sum(axis=1)
+            state[:, fold] += jumps[:, fold]
+            k = np.flatnonzero((values >= left) & (values <= right))
+            kept.append((values[k], ids[k], state[:, k], jumps[:, k]))
+            state[:, k] += jumps[:, k]
+        values, pairs, before, jumps = (np.concatenate(x, axis=-1) for x in zip(*kept))
+        del kept
+        order = np.argsort(values)
+        self.values = values[order]
+        self.pairs = pairs[order]
+        self.n_ids = int(pairs.max()) + 1 if pairs.size else 1
+        self.before = before[:, order].astype(bool)  # (A, B) of the pair just below the breakpoint
+        self.cum = np.zeros((2, len(order) + 1), np.int32)
+        np.cumsum(jumps[:, order], axis=1, out=self.cum[:, 1:])
+
+    def __call__(self, probes) -> np.ndarray:
+        """(2, m) counts at an array of m probes; (2,) at a scalar probe."""
+        at = np.asarray(probes, dtype=float)
+        p = at.reshape(-1)
+        m = len(p)
+        band = np.where(np.isinf(p), 0.0, _BAND * (1.0 + p))
+        k0 = np.searchsorted(self.values, p - band, "left")
+        k1 = np.searchsorted(self.values, p + band, "right")
+        counts = self.base[:, None] + self.cum[:, k0]
+        width = k1 - k0
+        if width.any():
+            # pairs with a breakpoint in a probe's band replace their state
+            # below it, once per probe even with several breakpoints there
+            k = np.repeat(np.arange(m), width)
+            pos = np.arange(len(k)) + np.repeat(k0 - (np.cumsum(width) - width), width)
+            _, first = np.unique(k * self.n_ids + self.pairs[pos], return_index=True)
+            k, pos = k[first], pos[first]
+            counts += _tally(k, self.direct(p, k, self.pairs[pos]), m)
+            counts -= _tally(k, self.before[:, pos], m)
+        if self.irregular.size:
+            step = max(1, _BLOCK // self.irregular.size)
+            for s in range(0, m, step):
+                block = np.arange(s, min(s + step, m))
+                k = np.repeat(block, self.irregular.size)
+                counts += _tally(k, self.direct(p, k, np.tile(self.irregular, len(block))), m)
+        return counts if at.ndim else counts[:, 0]
+
+
+def _tally(k: np.ndarray, flags, m: int) -> np.ndarray:
+    """(2, m): per probe, how many of the combos at probes ``k`` have each of the two flags."""
+    a, b = flags
+    return np.array([np.bincount(k[a], minlength=m), np.bincount(k[b], minlength=m)])
+
+
 def kendall_distance(r1: Ranking, r2: Ranking) -> float:
     """Fraction of discordant pairs, in [0, 1]."""
     d, total = discordance(r1, r2)

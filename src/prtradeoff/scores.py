@@ -131,37 +131,8 @@ def evaluate(score: ScoreFunction, p: Performance) -> float | None:
     precision and recall to every performance whose denominator is
     nonzero and agrees with it wherever both are defined.
     """
-    tn, fp, fn, tp = p.ptn, p.pfp, p.pfn, p.ptp
-    kind = score.kind
-    if kind == "fbeta" and math.isinf(score.beta):
-        kind = "recall"
-    if kind == "precision":
-        den = fp + tp
-        return tp / den if den > 0 else None
-    if kind == "recall":
-        den = fn + tp
-        return tp / den if den > 0 else None
-    if kind == "fbeta":
-        b2 = score.beta * score.beta
-        den = fp + b2 * fn + (1.0 + b2) * tp
-        return (1.0 + b2) * tp / den if den > 0 else None
-    if kind == "sivf":
-        neg, pos = tn + fp, fn + tp
-        if neg == 0 or pos == 0:
-            return None
-        tpr = tp / pos
-        fpr_ = fp / neg
-        return 2.0 * tpr / (tpr + fpr_ + 1.0)
-    if kind == "fpr":
-        neg = tn + fp
-        return fp / neg if neg > 0 else None
-    if kind == "tnr":
-        neg = tn + fp
-        return tn / neg if neg > 0 else None
-    if kind == "iou":
-        den = fp + fn + tp
-        return tp / den if den > 0 else None
-    raise AssertionError(kind)
+    value = float(score_values(score, p.as_array()[None, :])[0])
+    return None if math.isnan(value) else value
 
 
 def fbeta_values(parts: np.ndarray, beta) -> np.ndarray:
@@ -185,7 +156,7 @@ def fbeta_values(parts: np.ndarray, beta) -> np.ndarray:
 
 
 def score_values(score: ScoreFunction, parts: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate`` over an (n, 4) array of simplex points.
+    """Score values of the rows of an (n, 4) array of simplex points.
 
     Returns an (n,) float array with NaN wherever the score is undefined.
     """

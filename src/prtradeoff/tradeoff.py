@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
-from .ranking import PerformanceSet, discordance, rank_by_score
+from .ranking import _BAND, PerformanceSet, _SideCounts, discordance, rank_by_score
 from .scores import (
     F1,
     PRECISION,
@@ -49,16 +48,10 @@ def crossing_beta_squared(p1: Performance, p2: Performance) -> float | None:
     so no F-score can reverse it) or only recall equalizes them.  Raises
     DegeneratePairError when the pair is tied under every F-score.
     """
-    num = p1.ptp * p2.pfp - p2.ptp * p1.pfp
-    den = p1.ptp * p2.pfn - p2.ptp * p1.pfn
-    if den == 0:
-        if num == 0:
-            raise DegeneratePairError("pair is equivalent under every F-score")
-        return None
-    theta = -num / den
-    if theta < 0 or math.isinf(theta):
-        return None
-    return theta + 0.0  # normalize -0.0
+    summary = pair_crossings(PerformanceSet((p1, p2)))
+    if summary.degenerate_pairs:
+        raise DegeneratePairError("pair is equivalent under every F-score")
+    return summary.thetas[0] if summary.thetas else None
 
 
 @dataclass(frozen=True)
@@ -154,14 +147,6 @@ def optimal_interval(thetas) -> tuple[float, float] | None:
     return (ts[m // 2 - 1], ts[m // 2])
 
 
-# Half-width, relative to 1 + beta^2, of the band of crossing values around
-# each probed beta^2 whose pairs are decided by their own two F-scores.  It
-# sets only how much work goes to those direct decisions, never a result.
-_BAND = 1e-6
-# Most (probe, pair) combinations of irregular pairs decided at once: bounds memory.
-_BLOCK = 1 << 18
-
-
 def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Per pair: how close beta^2 must be to theta, over 1 + theta, for a tie.
 
@@ -190,11 +175,10 @@ def _side_counts(
     one is decided by comparing its own two F-scores under TIE_TOL, as a
     ranking would; counting makes that cheap.  A pair that precision and
     recall order strictly oppositely keeps the precision order below its
-    theta and takes the recall order above it, so away from a probe it is
-    counted with ``searchsorted`` into the sorted crossing values.  Pairs
-    inside a probe's band, and at every probe the pairs that tie under
-    precision or recall or whose tie slack exceeds the band, are compared
-    directly.
+    theta and takes the recall order above it: its one breakpoint, in
+    beta^2, for ``_SideCounts``.  Pairs that tie under precision or recall
+    or whose tie slack does not fit twice in the band are irregular: they
+    are compared directly at every probe.
     """
     betas = np.asarray(betas, dtype=float)
     bad = np.flatnonzero(~(betas >= 0))
@@ -214,33 +198,21 @@ def _side_counts(
     s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where item i is ahead
     s_re = np.sign(r_re[j] - r_re[i])
     with np.errstate(divide="ignore", invalid="ignore"):
-        regular = (s_pr * s_re < 0) & (_tie_slack(parts, i, j, theta) <= _BAND)
+        regular = (s_pr * s_re < 0) & (_tie_slack(parts, i, j, theta) <= _BAND / 2)
     reg = np.flatnonzero(regular)
-    irr = np.flatnonzero(~regular)
+    # below theta the F order is precision's, so the pair is in B; above it, in A
+    start = np.array([[0], [1]], np.int8).repeat(len(reg), axis=1)
+    jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
 
-    band = np.where(np.isinf(b2), 0.0, 2.0 * _BAND * (1.0 + b2))
-    lo = np.searchsorted(theta[reg], b2 - band, "left")
-    hi = np.searchsorted(theta[reg], b2 + band, "right")
-    d_pr = lo.copy()               # past their crossing: recall order
-    d_re = len(reg) - hi           # before their crossing: precision order
-
-    # (probe, pair) combinations to decide directly: the band pairs of each
-    # probe, then every irregular pair at every probe, in bounded blocks
-    width = hi - lo
-    probe = np.repeat(np.arange(len(betas)), width)
-    offset = np.arange(len(probe)) - np.repeat(np.cumsum(width) - width, width)
-    step = max(1, _BLOCK // max(irr.size, 1))
-    blocks = (np.arange(k, min(k + step, len(betas))) for k in range(0, len(betas), step))
-    combos = chain(
-        [(probe, reg[np.repeat(lo, width) + offset])],
-        ((np.repeat(block, irr.size), np.tile(irr, len(block))) for block in blocks if irr.size),
-    )
-    for probe, pair in combos:
-        b = betas[probe]
+    def direct(probes, k, pair):
+        b = betas[k]  # beta itself: the F-scores square it on their own
         gap = fbeta_values(parts[i[pair]], b) - fbeta_values(parts[j[pair]], b)
         s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
-        d_pr += np.bincount(probe[s_pr[pair] * s_f < 0], minlength=len(betas))
-        d_re += np.bincount(probe[s_f * s_re[pair] < 0], minlength=len(betas))
+        return s_pr[pair] * s_f < 0, s_f * s_re[pair] < 0
+
+    irregular = np.flatnonzero(~regular)
+    counts = _SideCounts(direct, irregular, reg, start, [(theta[reg], jumps)], 0.0, math.inf)
+    d_pr, d_re = counts(b2)
     return d_pr, d_re
 
 

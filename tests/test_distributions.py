@@ -281,3 +281,19 @@ def test_mc_pencil_optimality():
     assert sivf_degree == pytest.approx(math.log(4) - 0.5, abs=0.01)
     with pytest.raises(ValueError):
         mc_pencil_optimality("pi5", 1.0, 1000, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: mc_optimal_vertex_offset_near_oracle(0.3, n, 0),
+        lambda n: sivf_equidistance_prior_near_oracle(n, 0),
+        lambda n: mc_tau_sides_near_oracle(0.3, 1.0, n, 0),
+        lambda n: mc_pencil_optimality("pi3", 1.0, n, 0),
+    ],
+    ids=["offset", "prior", "sides", "pencil"],
+)
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_monte_carlo_studies_reject_fewer_than_one_pair(call, n_pairs):
+    with pytest.raises(ValueError, match="n_pairs must be >= 1"):
+        call(n_pairs)

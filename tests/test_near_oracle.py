@@ -122,6 +122,22 @@ def test_counts_equal_full_pass_at_and_around_every_breakpoint(draw, seed):
             assert counts(offset).tolist() == full(prior, offset), (prior, offset)
 
 
+@pytest.mark.parametrize("draw", [dist._near_oracle_uniforms, _quantized], ids=["uniform", "quantized"])
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_counts_equal_scalar_counts(draw, seed):
+    uniforms = draw(1500, seed)
+    kernels = [(dist._prior_counts(uniforms, 0.05, 0.95), 0.05, 0.95, np.linspace(0.05, 0.95, 91))]
+    kernels += [
+        (dist._offset_counts(uniforms, prior, 1e-4, 100.0), 1e-4, 100.0, np.geomspace(1e-4, 100.0, 61))
+        for prior in PRIORS
+    ]
+    for counts, lo, hi, grid in kernels:
+        probes = _probes(counts.values, lo, hi, grid)
+        batched = counts(np.array(probes))
+        assert batched.shape == (2, len(probes))
+        assert batched.T.tolist() == [counts(x).tolist() for x in probes]
+
+
 def test_sides_equal_full_pass():
     uniforms = dist._near_oracle_uniforms(5000, 8)
     for prior in PRIORS:

@@ -149,6 +149,13 @@ def test_score_values_matches_scalar_evaluate():
                 assert vec[i] == scalar
 
 
+def test_evaluate_is_none_where_beta_squared_overflows():
+    # beta^2 = inf makes the F-score inf / inf: undefined, not NaN
+    p = Performance(0.25, 0.25, 0.25, 0.25)
+    assert evaluate(fbeta(1e200), p) is None
+    assert math.isnan(score_values(fbeta(1e200), p.as_array()[None, :])[0])
+
+
 def test_score_function_validation():
     with pytest.raises(ValueError):
         ScoreFunction("fbeta")
