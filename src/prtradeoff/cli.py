@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distributions as dist
+from . import studies
 from .ingest import IngestError, ingest
 from .manifold import (
     DegenerateSpreadError,
@@ -42,7 +43,6 @@ EXIT_INPUT = 2
 EXIT_CHECKS = 3
 
 _MC_OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
-_PRIOR_GRID = tuple(np.linspace(0.1, 0.9, 9))
 
 
 def _config_hash(config: dict) -> str:
@@ -394,7 +394,7 @@ def cmd_sweep(args) -> int:
         )
 
     else:  # pi5
-        priors = sorted(set(_PRIOR_GRID) | {spec.prior_pos})
+        priors = sorted(set(studies.PRIOR_GRID) | {spec.prior_pos})
         rows = []
         for i, p in enumerate(priors):
             est = dist.mc_kendall_tau(
@@ -443,46 +443,8 @@ def cmd_table1(args) -> int:
     chash = _config_hash(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = args.pairs
     seed = args.seed
-    cells = []
-
-    def mc_f1_degree(spec, seed0: int) -> float:
-        t_pr_re = dist.mc_kendall_tau(spec, PRECISION, RECALL, n, seed0).value
-        t1 = dist.mc_kendall_tau(spec, PRECISION, F1, n, seed0 + 1).value
-        t2 = dist.mc_kendall_tau(spec, F1, RECALL, n, seed0 + 2).value
-        p_agree = (1.0 + t_pr_re) / 2.0
-        p_bad = abs(t1 - t2) / 4.0
-        p_good = 1.0 - p_agree - p_bad
-        return p_good / (p_good + p_bad)
-
-    cells.append(
-        ("pi1_f1_degree", mc_f1_degree(dist.uniform_spec(), seed), 1.0, 0.01)
-    )
-    vals = [
-        mc_f1_degree(dist.fixed_tn_spec(ptn), seed + 10 * (i + 1))
-        for i, ptn in enumerate((0.0, 0.3, 0.6))
-    ]
-    cells.append(("pi2_f1_degree", sum(vals) / len(vals), 1.0, 0.01))
-
-    for family, expected in (("pi3", math.log(4.0) - 0.5), ("pi4", 5.0 / 6.0)):
-        per_prior = max(n // len(_PRIOR_GRID), 10**5)
-        vals = [
-            dist.mc_pencil_optimality(family, 1.0, per_prior, seed + 50 + i)
-            for i in range(len(_PRIOR_GRID))
-        ]
-        cells.append((f"{family}_sivf_degree", sum(vals) / len(vals), expected, 0.01))
-
-    cells.append(("pi3_f1_prior", dist.f1_equidistance_prior("pi3"), 0.381, 0.01))
-    cells.append(("pi4_f1_prior", dist.f1_equidistance_prior("pi4"), 0.325, 0.01))
-    cells.append(
-        (
-            "pi5_sivf_prior",
-            dist.sivf_equidistance_prior_near_oracle(n, seed + 99),
-            0.561,
-            0.02,
-        )
-    )
+    cells = studies.table1_cells(args.pairs, seed)
 
     results = []
     all_ok = True

@@ -13,12 +13,18 @@ Rank correlations between two scores under a family are estimated from
 independent performance pairs: tau = 1 - 4 P[first score decreases while
 the second increases].  Draws come from counter-based substreams of a
 Philox generator in fixed-size blocks, so results are bit-reproducible
-for a given seed no matter how the pair range is partitioned.
+for a given seed no matter how the pair range is partitioned.  The
+blocks of one estimate are drawn and counted concurrently, on as many
+threads as there are CPUs the process may use; each block returns
+integer counts that are summed, so estimates do not depend on the number
+of threads, and nothing sets it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +137,16 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
     # e.sum(axis=1), without a reduction over a short axis
     if fam == "pi1":
         e = rng.standard_exponential((n, 4))
-        return e / (e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3])[:, None]
+        e /= (e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3])[:, None]
+        return e
     if fam == "pi2":
         e = rng.standard_exponential((n, 3))
+        total = e[:, 0] + e[:, 1] + e[:, 2]
+        e *= 1.0 - spec.ptn
+        e /= total[:, None]
         parts = np.empty((n, 4))
         parts[:, 0] = spec.ptn
-        parts[:, 1:] = (1.0 - spec.ptn) * e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+        parts[:, 1:] = e
         return parts
     p = spec.prior_pos
     fpr = rng.uniform(0.0, 1.0, n)
@@ -184,6 +194,48 @@ def _check_n_pairs(n_pairs: int) -> None:
         raise ValueError("n_pairs must be >= 1")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> tuple[int, int]:
+    """(discordant, redrawn) pairs of one block of ``mc_kendall_tau``, from its own substream."""
+    want = min(_BLOCK, n_pairs - block * _BLOCK)
+    rng = _block_generator(seed, block)
+    # score each side before drawing the next: less memory held per thread
+    a = _draw(spec, rng, want)
+    v1a, v2a = score_values(score1, a), score_values(score2, a)
+    del a
+    b = _draw(spec, rng, want)
+    v1b, v2b = score_values(score1, b), score_values(score2, b)
+    del b
+    redrawn = 0
+    for _ in range(_MAX_REDRAW_ROUNDS):
+        with np.errstate(invalid="ignore"):
+            bad = ~(
+                np.isfinite(v1a) & np.isfinite(v1b)
+                & np.isfinite(v2a) & np.isfinite(v2b)
+            )
+            bad |= np.abs(v1a - v1b) <= TIE_TOL
+            bad |= np.abs(v2a - v2b) <= TIE_TOL
+        if not bad.any():
+            break
+        k = int(bad.sum())
+        redrawn += k
+        a2, b2 = _draw(spec, rng, k), _draw(spec, rng, k)
+        v1a[bad], v1b[bad] = score_values(score1, a2), score_values(score1, b2)
+        v2a[bad], v2b[bad] = score_values(score2, a2), score_values(score2, b2)
+    else:
+        raise RedrawLimitError(
+            f"degenerate pairs persist after {_MAX_REDRAW_ROUNDS} redraw rounds"
+        )
+    return int(((v1a < v1b) & (v2a > v2b)).sum()), redrawn
+
+
 def mc_kendall_tau(
     spec: DistributionSpec,
     score1: ScoreFunction,
@@ -196,42 +248,32 @@ def mc_kendall_tau(
     Pairs on which either score is undefined or tied (within ``TIE_TOL``)
     are redrawn inside their block, which keeps ``n_pairs`` exact; those
     events have measure zero for the supported families, so a redraw rate
-    above 1% aborts with ``RedrawLimitError``.
+    above 1% aborts with ``RedrawLimitError``.  Blocks are drawn and
+    counted concurrently, on one thread per usable CPU; their integer
+    counts are summed, so the estimate does not depend on the number of
+    threads.
     """
     _check_n_pairs(n_pairs)
-    done = 0
-    block = 0
-    discordant = 0
-    redrawn = 0
-    while done < n_pairs:
-        want = min(_BLOCK, n_pairs - done)
-        rng = _block_generator(seed, block)
-        a = _draw(spec, rng, want)
-        b = _draw(spec, rng, want)
-        v1a, v1b = score_values(score1, a), score_values(score1, b)
-        v2a, v2b = score_values(score2, a), score_values(score2, b)
-        for _ in range(_MAX_REDRAW_ROUNDS):
-            with np.errstate(invalid="ignore"):
-                bad = ~(
-                    np.isfinite(v1a) & np.isfinite(v1b)
-                    & np.isfinite(v2a) & np.isfinite(v2b)
-                )
-                bad |= np.abs(v1a - v1b) <= TIE_TOL
-                bad |= np.abs(v2a - v2b) <= TIE_TOL
-            if not bad.any():
-                break
-            k = int(bad.sum())
-            redrawn += k
-            a2, b2 = _draw(spec, rng, k), _draw(spec, rng, k)
-            v1a[bad], v1b[bad] = score_values(score1, a2), score_values(score1, b2)
-            v2a[bad], v2b[bad] = score_values(score2, a2), score_values(score2, b2)
-        else:
-            raise RedrawLimitError(
-                f"degenerate pairs persist after {_MAX_REDRAW_ROUNDS} redraw rounds"
-            )
-        discordant += int(((v1a < v1b) & (v2a > v2b)).sum())
-        done += want
-        block += 1
+    n_blocks = -(-n_pairs // _BLOCK)
+    workers = min(n_blocks, _usable_cpus())
+
+    def strided_counts(first: int) -> list[tuple[int, int]]:
+        return [
+            _block_counts(spec, score1, score2, n_pairs, seed, block)
+            for block in range(first, n_blocks, workers)
+        ]
+
+    # The calling thread counts every workers-th block from block 0 itself,
+    # so only workers - 1 threads are started: each thread that allocates
+    # keeps an allocator arena of several MB for the rest of the process.
+    # NumPy's Philox filling and ufuncs release the interpreter lock.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        others = [pool.submit(strided_counts, first) for first in range(1, workers)]
+        per_block = strided_counts(0)
+        for future in others:
+            per_block += future.result()
+    discordant = sum(d for d, _ in per_block)
+    redrawn = sum(r for _, r in per_block)
     if redrawn > _REDRAW_FRACTION * n_pairs:
         raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
     p_hat = discordant / n_pairs
@@ -405,6 +447,14 @@ def _pencil_sign(x1, y1, x2, y2, offset) -> np.ndarray:
     return np.sign(y1 * (x2 + offset) - y2 * (x1 + offset))
 
 
+def _check_pencil_offset(name: str, offset: float) -> float:
+    """A pencil score's vertex offset: > 0, or +inf for recall itself."""
+    ell = float(offset)
+    if not ell > 0:
+        raise ValueError(f"{name} must be > 0 or inf, got {offset!r}")
+    return ell
+
+
 def _near_oracle_uniforms(n_pairs: int, seed: int):
     rng = _generator(seed)
     return tuple(rng.uniform(0.0, 1.0, n_pairs) for _ in range(4))
@@ -536,6 +586,7 @@ def mc_tau_sides_near_oracle(
     p = float(prior_pos)
     if not 0.0 < p < 1.0:
         raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    offset = _check_pencil_offset("offset", offset)
     _check_n_pairs(n_pairs)
     return _near_oracle_sides(_near_oracle_uniforms(n_pairs, seed), p, offset)
 
@@ -575,9 +626,11 @@ def mc_pencil_optimality(
     """
     if family not in ("pi3", "pi4"):
         raise ValueError(f"family must be pi3 or pi4, got {family!r}")
+    candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
     _check_n_pairs(n_pairs)
     if optimal_offset is None:
         optimal_offset = optimal_vertex_offset(family)
+    optimal_offset = _check_pencil_offset("optimal_offset", optimal_offset)
     rng = _generator(seed)
     x1, y1 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
     x2, y2 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)

@@ -1,4 +1,6 @@
+import functools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from prtradeoff import (
     uniform_spec,
 )
 from prtradeoff import distributions as dist
+from prtradeoff.distributions import FAMILIES
 
 OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
 
@@ -138,19 +141,120 @@ def test_redraw_guard_trips_on_constant_score():
         mc_kendall_tau(fixed_tn_spec(0.0), FPR, RECALL, 1000, 0)
 
 
+def _undefined_near_zero_tp(score, parts, real=dist.score_values, below=1e-3):
+    # about 3 * below of uniform performances; at 1e-3 redrawn, but under the 1% guard
+    values = real(score, parts)
+    values[parts[:, 3] < below] = np.nan
+    return values
+
+
 def test_mc_tau_reports_redrawn_pairs(monkeypatch):
     assert mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6).redrawn == 0
-    real = dist.score_values
-
-    def undefined_near_zero_tp(score, parts):
-        # about 0.3% of uniform performances: redrawn, but under the 1% guard
-        values = real(score, parts)
-        values[parts[:, 3] < 1e-3] = np.nan
-        return values
-
-    monkeypatch.setattr(dist, "score_values", undefined_near_zero_tp)
+    monkeypatch.setattr(dist, "score_values", _undefined_near_zero_tp)
     est = mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6)
     assert 0 < est.redrawn <= 0.01 * est.n_pairs
+
+
+def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed):
+    """The block loop of mc_kendall_tau as it ran before blocks were counted concurrently."""
+    done = 0
+    block = 0
+    discordant = 0
+    redrawn = 0
+    while done < n_pairs:
+        want = min(dist._BLOCK, n_pairs - done)
+        rng = dist._block_generator(seed, block)
+        a = dist._draw(spec, rng, want)
+        b = dist._draw(spec, rng, want)
+        v1a, v1b = dist.score_values(score1, a), dist.score_values(score1, b)
+        v2a, v2b = dist.score_values(score2, a), dist.score_values(score2, b)
+        for _ in range(dist._MAX_REDRAW_ROUNDS):
+            with np.errstate(invalid="ignore"):
+                bad = ~(
+                    np.isfinite(v1a) & np.isfinite(v1b)
+                    & np.isfinite(v2a) & np.isfinite(v2b)
+                )
+                bad |= np.abs(v1a - v1b) <= dist.TIE_TOL
+                bad |= np.abs(v2a - v2b) <= dist.TIE_TOL
+            if not bad.any():
+                break
+            k = int(bad.sum())
+            redrawn += k
+            a2, b2 = dist._draw(spec, rng, k), dist._draw(spec, rng, k)
+            v1a[bad], v1b[bad] = dist.score_values(score1, a2), dist.score_values(score1, b2)
+            v2a[bad], v2b[bad] = dist.score_values(score2, a2), dist.score_values(score2, b2)
+        else:
+            raise RedrawLimitError("degenerate pairs persist")
+        discordant += int(((v1a < v1b) & (v2a > v2b)).sum())
+        done += want
+        block += 1
+    if redrawn > dist._REDRAW_FRACTION * n_pairs:
+        raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
+    p_hat = discordant / n_pairs
+    half_width = 1.96 * 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n_pairs)
+    return dist.McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed, redrawn)
+
+
+def _assert_matches_sequential(monkeypatch, spec, score1, score2, n_pairs, seed):
+    want = _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed)
+    # one worker, the CPUs this process may use, and more threads than blocks
+    for workers in (1, None, 5):
+        with monkeypatch.context() as m:
+            if workers is not None:
+                m.setattr(dist, "_usable_cpus", lambda: workers)
+            assert mc_kendall_tau(spec, score1, score2, n_pairs, seed) == want, workers
+    return want
+
+
+FAMILY_SPECS = {
+    "pi1": uniform_spec(),
+    "pi2": fixed_tn_spec(0.3),
+    "pi3": fixed_priors_spec(0.3),
+    "pi4": above_no_skill_spec(0.3),
+    "pi5": near_oracle_spec(0.3),
+}
+
+
+@pytest.mark.parametrize("n_pairs", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 17])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_concurrent_blocks_match_the_sequential_loop(monkeypatch, family, n_pairs):
+    _assert_matches_sequential(monkeypatch, FAMILY_SPECS[family], PRECISION, F1, n_pairs, 17)
+
+
+def test_concurrent_redraws_match_the_sequential_loop(monkeypatch):
+    monkeypatch.setattr(dist, "score_values", _undefined_near_zero_tp)
+    est = _assert_matches_sequential(
+        monkeypatch, uniform_spec(), PRECISION, RECALL, 3 * (1 << 16) + 17, 6
+    )
+    assert 0 < est.redrawn <= 0.01 * est.n_pairs
+
+
+def test_redraw_limit_error_surfaces_from_a_worker(monkeypatch):
+    monkeypatch.setattr(dist, "_BLOCK", 256)
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)
+    real = dist.score_values
+
+    def undefined_off_the_calling_thread(score, parts):
+        values = real(score, parts)
+        if threading.current_thread() is not threading.main_thread():
+            values[:] = np.nan
+        return values
+
+    # only the blocks counted by pool threads exhaust their redraw rounds
+    monkeypatch.setattr(dist, "score_values", undefined_off_the_calling_thread)
+    with pytest.raises(RedrawLimitError, match="redraw rounds"):
+        mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 1000, 0)
+
+
+def test_redraw_guard_sums_the_blocks_of_all_threads(monkeypatch):
+    monkeypatch.setattr(dist, "_BLOCK", 256)
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)
+    # redraws under the limit in every block, above 1% summed over the blocks
+    monkeypatch.setattr(
+        dist, "score_values", functools.partial(_undefined_near_zero_tp, below=0.01)
+    )
+    with pytest.raises(RedrawLimitError, match="needed redrawing"):
+        mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 1000, 0)
 
 
 def test_analytic_sum_identities():
@@ -297,3 +401,24 @@ def test_mc_pencil_optimality():
 def test_monte_carlo_studies_reject_fewer_than_one_pair(call, n_pairs):
     with pytest.raises(ValueError, match="n_pairs must be >= 1"):
         call(n_pairs)
+
+
+@pytest.mark.parametrize("offset", [math.nan, 0.0, -1.0, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda off: mc_tau_sides_near_oracle(0.3, off, 1000, 0),
+        lambda off: mc_pencil_optimality("pi3", off, 1000, 0),
+        lambda off: mc_pencil_optimality("pi3", 1.0, 1000, 0, optimal_offset=off),
+    ],
+    ids=["sides", "candidate", "optimal"],
+)
+def test_pencil_studies_reject_nan_and_nonpositive_offsets(call, offset):
+    with pytest.raises(ValueError, match="must be > 0 or inf"):
+        call(offset)
+
+
+def test_pencil_studies_accept_the_recall_limit():
+    # an infinite vertex offset is recall itself
+    assert mc_tau_sides_near_oracle(0.3, math.inf, 1000, 0)[1] == 1.0
+    assert mc_pencil_optimality("pi3", math.inf, 1000, 0, optimal_offset=math.inf) == 1.0

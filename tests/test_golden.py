@@ -6,9 +6,11 @@ plateau by re-ranking all items, before the finite-set engine switched
 to counting crossings.  The ``table1`` and ``sweep`` hashes were produced
 by the implementation whose near-oracle searches evaluated every frozen
 pair at every bisection probe, before they switched to counting sorted
-breakpoints.  Both CLI runs use a relative ``--input`` from inside
-``tests/data``, because the input path is part of the config hash that
-every output carries.  ``pca.csv`` goes through an eigendecomposition
+breakpoints; the two ``sweep`` runs at 200000 pairs by the
+implementation that drew and counted Monte Carlo blocks one after
+another, before the blocks were counted concurrently.  Both ``analyze``
+runs use a relative ``--input`` from inside ``tests/data``, because the
+input path is part of the config hash that every output carries.  ``pca.csv`` goes through an eigendecomposition
 whose last bits depend on the linear-algebra library, so it is compared
 numerically; every other file must match byte for byte.
 """
@@ -93,6 +95,15 @@ DISTRIBUTION_GOLDEN = {
         "summary.json": "689d3351c32aab645a1b2bb30d8b70809a46ff0374e63ddd853b4cb03bb7b13a",
         "taus.csv": "4a2907f178c3d55589e261272c05715e0da6df1f658a3032daa2610d64fe4c4a",
     },
+    # four Monte Carlo blocks per tau: the blocks are counted concurrently
+    ("sweep", "--family", "pi1", "--pairs", "200000"): {
+        "summary.json": "5c12528c4af45ca81b91a438c83545a4efa0597b574b7b48d4c3455de394f7db",
+        "taus.csv": "1fc86e0a69f91bde5bb26a7ed6a45bbd7e8601f177c9fc56f684cc3af6a61b85",
+    },
+    ("sweep", "--family", "pi2", "--param", "0.3", "--pairs", "200000"): {
+        "summary.json": "fc65ae26a9016a4427d1c8d4a90c9991020d030d59f8aa3fa7e5299520f408c8",
+        "taus.csv": "05db7b06cafaf90c398e12805c890924f9fd8b389663a2506ba0e0fddb607943",
+    },
     ("sweep", "--family", "pi4", "--param", "0.3", "--pairs", "20000"): {
         "adaptation.csv": "1110bef9a72e30d313bbea297de4e145e48c5b747adac9026c2c1af19bae5947",
         "analytic_correlations.csv": "a6eff7a7c37548a5964fb9c6ee8e2dd66c3f022d9c273bdc66fe40ca7c49b8b1",
@@ -109,11 +120,14 @@ DISTRIBUTION_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    list(DISTRIBUTION_GOLDEN),
-    ids=[a[0] if a[0] == "table1" else f"sweep-{a[2]}" for a in DISTRIBUTION_GOLDEN],
-)
+def _golden_id(argv):
+    if argv[0] == "table1":
+        return "table1"
+    pairs = argv[argv.index("--pairs") + 1]
+    return f"sweep-{argv[2]}" + ("" if pairs == "20000" else f"-{pairs}")
+
+
+@pytest.mark.parametrize("argv", list(DISTRIBUTION_GOLDEN), ids=_golden_id)
 def test_distribution_commands_match_golden_outputs(argv, tmp_path):
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == 0
