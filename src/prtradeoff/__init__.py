@@ -45,6 +45,7 @@ from .manifold import (
     DegenerateSpreadError,
     RankingPath,
     build_path,
+    correlations_vs_beta,
     marker_rankings,
     pca_project,
     rank_trajectories,

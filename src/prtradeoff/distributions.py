@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ranking import _SideCounts
 from .scores import Performance, ScoreFunction, TIE_TOL, score_values
@@ -391,6 +390,9 @@ def f1_equidistance_prior(family: str) -> float:
     def gap(p: float) -> float:
         off = p / (1.0 - p)  # the balanced F-score's vertex offset at this prior
         return tau("pr", off) - tau("re", off)
+
+    # imported here: loading scipy.optimize costs more than the rest of the package's import
+    from scipy.optimize import brentq
 
     # bracket kept well inside (0, 1): the closed forms cancel badly for
     # extreme vertex offsets, and the root is near 1/3 for both families

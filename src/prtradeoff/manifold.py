@@ -59,6 +59,12 @@ class RankingPath:
     def rankings(self) -> tuple[Ranking, ...]:
         return tuple(self.ranking(k) for k in range(self.n_plateaus))
 
+    def plateau_bounds(self, k: int) -> tuple[float, float]:
+        """The betas (low, high) between which plateau k holds; 0 and inf at the ends."""
+        lo = 0.0 if k == 0 else self.transition_betas[k - 1]
+        hi = self.transition_betas[k] if k < len(self.transition_betas) else math.inf
+        return lo, hi
+
     def plateau_of(self, beta: float) -> int:
         """Index of the plateau containing the given beta."""
         return bisect_left(self.transition_betas, float(beta))
@@ -176,6 +182,30 @@ def pca_project(
     coords = x @ comps
     explained = (float(eigvals[0]) / total, float(eigvals[1]) / total)
     return coords, explained
+
+
+def correlations_vs_beta(
+    path: RankingPath, grid_points: int, grid_span: tuple[float, float]
+) -> list[tuple[float, float, float]]:
+    """(beta, tau(Pr, F_beta), tau(F_beta, Re)) rows on a log grid plus 0 and every transition beta.
+
+    Exact step values from the plateau distances, via the shortest-path
+    identity d(Pr, Re) = d(Pr, F) + d(F, Re), as correctly rounded ratios
+    of discordant-pair counts.
+    """
+    total = path.pset.total_pairs
+    d_pr_re = int(path.distances_from_precision[-1] * total)
+    grid = sorted(
+        set(np.geomspace(grid_span[0], grid_span[1], grid_points))
+        | set(path.transition_betas)
+        | {0.0}
+    )
+    rows = []
+    for b in grid:
+        n1 = int(path.distances_from_precision[path.plateau_of(b)] * total)
+        n2 = d_pr_re - n1
+        rows.append((b, (total - 2 * n1) / total, (total - 2 * n2) / total))
+    return rows
 
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:

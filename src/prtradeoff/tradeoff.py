@@ -294,6 +294,30 @@ class OptimalityBreakdown:
     vacuous: bool = False
 
 
+def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
+    """d(Pr, Re), the pair count, and a function giving any candidate's breakdown.
+
+    Precision, recall and F_beta* are ranked once here for all candidates.
+    """
+    r_pr = rank_by_score(pset, PRECISION)
+    r_re = rank_by_score(pset, RECALL)
+    d_pr_re, total = discordance(r_pr, r_re)
+    if d_pr_re == 0 or beta_star_squared is None:
+        one = Fraction(1)
+        vacuous = OptimalityBreakdown(one, Fraction(0), Fraction(0), one, vacuous=True)
+        return d_pr_re, total, lambda candidate: vacuous
+    r_star = rank_by_score(pset, fbeta(math.sqrt(beta_star_squared)))
+    p_agree = 1 - Fraction(d_pr_re, total)
+
+    def breakdown(candidate: ScoreFunction) -> OptimalityBreakdown:
+        d_bad, _ = discordance(rank_by_score(pset, candidate), r_star)
+        p_bad = Fraction(d_bad, total)
+        p_good = 1 - p_agree - p_bad
+        return OptimalityBreakdown(p_agree, p_good, p_bad, p_good / (p_good + p_bad))
+
+    return d_pr_re, total, breakdown
+
+
 def optimality_decomposition(
     pset: PerformanceSet,
     candidate: ScoreFunction,
@@ -305,21 +329,10 @@ def optimality_decomposition(
     otherwise it is derived from the set.  A set on which precision and
     recall never disagree yields the vacuous breakdown (degree 1).
     """
-    r_pr = rank_by_score(pset, PRECISION)
-    r_re = rank_by_score(pset, RECALL)
-    d_pr_re, total = discordance(r_pr, r_re)
     if beta_star_squared is None:
         beta_star_squared, _ = optimal_beta(pset)
-    if d_pr_re == 0 or beta_star_squared is None:
-        one = Fraction(1)
-        return OptimalityBreakdown(one, Fraction(0), Fraction(0), one, vacuous=True)
-    r_cand = rank_by_score(pset, candidate)
-    r_star = rank_by_score(pset, fbeta(math.sqrt(beta_star_squared)))
-    d_bad, _ = discordance(r_cand, r_star)
-    p_agree = 1 - Fraction(d_pr_re, total)
-    p_bad = Fraction(d_bad, total)
-    p_good = 1 - p_agree - p_bad
-    return OptimalityBreakdown(p_agree, p_good, p_bad, p_good / (p_good + p_bad))
+    _, _, breakdown = _breakdowns(pset, beta_star_squared)
+    return breakdown(candidate)
 
 
 def heuristic_beta(pset: PerformanceSet) -> float:
@@ -381,11 +394,9 @@ def analyze_set(
     whose score is undefined somewhere on the set are skipped and listed
     with the reason); ``extra_betas`` adds user-chosen F-scores.
     """
-    r_pr = rank_by_score(pset, PRECISION)
-    r_re = rank_by_score(pset, RECALL)
-    d_pr_re, total = discordance(r_pr, r_re)
     summary = pair_crossings(pset)
     b2_star = summary.beta_star_squared
+    d_pr_re, total, breakdown = _breakdowns(pset, b2_star)
     thetas = summary.thetas
     interval = optimal_interval(thetas)
 
@@ -404,7 +415,7 @@ def analyze_set(
     skipped: dict[str, str] = {}
     for name, cand in candidates.items():
         try:
-            optimality[name] = optimality_decomposition(pset, cand, b2_star)
+            optimality[name] = breakdown(cand)
         except UndefinedScoreError as exc:
             skipped[name] = str(exc)
 

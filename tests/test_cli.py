@@ -78,17 +78,16 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_analyze_runs_as_a_script(tmp_path):
-    out = tmp_path / "out"
+def _run_python(*argv):
     # the child imports the same package as this test, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "prtradeoff.cli", "analyze", "--input", str(FIXTURE), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_analyze_runs_as_a_script(tmp_path):
+    out = tmp_path / "out"
+    proc = _run_python("-m", "prtradeoff.cli", "analyze", "--input", str(FIXTURE), "--out", str(out))
     assert proc.returncode == 0
     assert (out / "report.json").exists()
 
@@ -119,6 +118,23 @@ def test_input_errors_exit_2(tmp_path):
     assert cli.main(["analyze", "--input", str(roc), "--out", str(out)]) == 2  # prior missing
     assert cli.main(["sweep", "--family", "pi3", "--out", str(out)]) == 2  # param missing
     assert cli.main(["sweep", "--family", "pi1", "--param", "0.5", "--out", str(out)]) == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = _run_python(
+        "-c", "import sys, prtradeoff.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("family", ["pi3", "pi4"])
+def test_failing_sweep_writes_nothing(tmp_path, family):
+    # the analytic tables need no pairs; the Monte Carlo ones reject 0 pairs
+    out = tmp_path / "out"
+    argv = ["sweep", "--family", family, "--param", "0.3", "--pairs", "0", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
 
 
 def test_manifold_command(tmp_path):

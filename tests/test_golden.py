@@ -8,7 +8,9 @@ by the implementation whose near-oracle searches evaluated every frozen
 pair at every bisection probe, before they switched to counting sorted
 breakpoints; the two ``sweep`` runs at 200000 pairs by the
 implementation that drew and counted Monte Carlo blocks one after
-another, before the blocks were counted concurrently.  Both ``analyze``
+another, before the blocks were counted concurrently; the ``sweep`` run
+of pi3 by the implementation whose CLI built the study tables itself,
+before they moved into ``prtradeoff.studies``.  Both ``analyze``
 runs use a relative ``--input`` from inside ``tests/data``, because the
 input path is part of the config hash that every output carries.  ``pca.csv`` goes through an eigendecomposition
 whose last bits depend on the linear-algebra library, so it is compared
@@ -103,6 +105,13 @@ DISTRIBUTION_GOLDEN = {
     ("sweep", "--family", "pi2", "--param", "0.3", "--pairs", "200000"): {
         "summary.json": "fc65ae26a9016a4427d1c8d4a90c9991020d030d59f8aa3fa7e5299520f408c8",
         "taus.csv": "05db7b06cafaf90c398e12805c890924f9fd8b389663a2506ba0e0fddb607943",
+    },
+    ("sweep", "--family", "pi3", "--param", "0.5", "--pairs", "20000"): {
+        "adaptation.csv": "c93080103e4d312eb4149e131723555df57e64c564fb8cd49a672bf7f66bb5ce",
+        "analytic_correlations.csv": "166827a6a9ff8058ac56f76d6eec7cce7193cc537281a2166ff130b78fb87860",
+        "f1_equidistance.csv": "9beb6f428f83d40ccdbe08298d9674cddc3d9115cf7fb546df239f592ee3d6cc",
+        "mc_validation.csv": "f7f8dd183aaa7b7bab170fc3f15eb6d8f99eaf845273768b18f940d9aafd21b9",
+        "summary.json": "52b7b4da486a57641d17b1233fc8d1fb74f41ca75bc3ef6cb9a3a33e7a43710f",
     },
     ("sweep", "--family", "pi4", "--param", "0.3", "--pairs", "20000"): {
         "adaptation.csv": "1110bef9a72e30d313bbea297de4e145e48c5b747adac9026c2c1af19bae5947",

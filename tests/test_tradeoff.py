@@ -347,3 +347,32 @@ def test_analyze_set_report_consistency():
     for breakdown in report.optimality.values():
         assert breakdown.p_agree + breakdown.p_optimal + breakdown.p_not_optimal == 1
     assert report.equidistance_gap <= Fraction(1, 190)
+
+
+def test_analyze_set_ranks_each_candidate_and_the_optimum_once(monkeypatch):
+    from prtradeoff import tradeoff
+
+    ranked, counted = [], []
+
+    def counting_rank(pset, score):
+        ranked.append(score)
+        return rank_by_score(pset, score)
+
+    def counting_discordance(r1, r2):
+        counted.append((r1, r2))
+        return discordance(r1, r2)
+
+    monkeypatch.setattr(tradeoff, "rank_by_score", counting_rank)
+    monkeypatch.setattr(tradeoff, "discordance", counting_discordance)
+    pset = random_pset(36, 20)
+    report = analyze_set(pset, extra_betas=(0.5,))
+    monkeypatch.undo()
+
+    others = [s for s in ranked if s not in (PRECISION, RECALL)]
+    assert len(report.optimality) == 4
+    assert len(others) == len(report.optimality) + 1  # the candidates and F_beta*
+    assert len(counted) == len(report.optimality) + 1  # d(Pr, Re), then one per candidate
+    for name, score in (("f1", F1), ("fbeta(0.5)", fbeta(0.5))):
+        assert report.optimality[name] == optimality_decomposition(
+            pset, score, report.beta_star_squared
+        )
