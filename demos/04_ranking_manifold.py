@@ -33,12 +33,13 @@ traj = rank_trajectories(path)
 for label, row in zip(pset.labels, traj):
     print(f"  {label}: {' '.join(f'{r:2d}' for r in row)}")
 
-coords, explained = pca_project(path)
+markers = marker_rankings(path)
+coords, explained = pca_project(path, markers)
 print(f"\nPCA of the rank vectors: {explained[0]:.1%} + {explained[1]:.1%} variance")
 print("path coordinates (precision end first, recall end last):")
 for k in range(path.n_plateaus):
     print(f"  plateau {k:2d}: ({coords[k, 0]:7.3f}, {coords[k, 1]:7.3f})")
-for name, row in zip(marker_rankings(path), coords[path.n_plateaus:]):
+for name, row in zip(markers, coords[path.n_plateaus:]):
     print(f"  {name:>10}: ({row[0]:7.3f}, {row[1]:7.3f})")
 
 # to plot: scatter pc1 against pc2 and connect the plateau points in order,

@@ -51,12 +51,14 @@ from .manifold import (
     rank_trajectories,
 )
 from .ranking import (
+    CrossingSummary,
     LengthMismatchError,
     PerformanceSet,
     Ranking,
     discordance,
     kendall_distance,
     kendall_tau,
+    pair_crossings,
     rank_by_score,
     ranks_from_values,
     spearman_distance,
@@ -83,7 +85,6 @@ from .scores import (
     sivf_importance,
 )
 from .tradeoff import (
-    CrossingSummary,
     DegeneratePairError,
     OptimalityBreakdown,
     TradeoffReport,
@@ -98,7 +99,6 @@ from .tradeoff import (
     optimal_beta,
     optimal_interval,
     optimality_decomposition,
-    pair_crossings,
 )
 
 __version__ = "0.1.0"

@@ -117,11 +117,11 @@ def _item_labels(pset) -> tuple[str, ...]:
 
 def _pca_table(path) -> tuple[list[str], list[tuple]]:
     """pca.csv's extra comment lines and its rows: the plateaus, then the markers."""
-    markers = list(marker_rankings(path))
-    names = [f"plateau_{k}" for k in range(path.n_plateaus)] + markers
+    markers = marker_rankings(path)
+    names = [f"plateau_{k}" for k in range(path.n_plateaus)] + list(markers)
     kinds = ["plateau"] * path.n_plateaus + ["marker"] * len(markers)
     try:
-        coords, explained = pca_project(path)
+        coords, explained = pca_project(path, markers)
         extra = [f"explained_variance_ratio={explained[0]!r},{explained[1]!r}"]
     except DegenerateSpreadError:
         # every ranking coincides: the projection collapses to one point

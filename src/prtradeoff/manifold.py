@@ -11,16 +11,14 @@ usual picture of that curve.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .ranking import PerformanceSet, Ranking, rank_by_score
-from .scores import PRECISION, RECALL, SIVF, TIE_TOL, UndefinedScoreError
-from .tradeoff import pair_crossings
+from .scores import SIVF, TIE_TOL, UndefinedScoreError
 
 
 class DegenerateSpreadError(ValueError):
@@ -55,10 +53,6 @@ class RankingPath:
         """The ranking on plateau k."""
         return Ranking(tuple(self.ranks[k].tolist()))
 
-    @cached_property
-    def rankings(self) -> tuple[Ranking, ...]:
-        return tuple(self.ranking(k) for k in range(self.n_plateaus))
-
     def plateau_bounds(self, k: int) -> tuple[float, float]:
         """The betas (low, high) between which plateau k holds; 0 and inf at the ends."""
         lo = 0.0 if k == 0 else self.transition_betas[k - 1]
@@ -87,18 +81,18 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     recall order: per swap, the rank of the item that was ahead grows by
     one and the other's shrinks by one.  Each plateau's distance from
     precision is the number of swaps so far, and the last plateau is
-    checked against recall.
+    checked against recall.  The rankings and crossings are the set's
+    cached ones.
     """
-    r_pr = rank_by_score(pset, PRECISION)
-    r_re = rank_by_score(pset, RECALL)
+    r_pr, r_re = pset.endpoint_rankings
     if r_pr.has_ties or r_re.has_ties:
         raise ValueError("set has tied precision or recall values; path is ambiguous")
 
-    crossings = pair_crossings(pset)
-    first = bisect_right(crossings.thetas, 0.0)  # thetas are sorted and >= 0
+    crossings = pset.crossings
+    first = int(np.searchsorted(crossings.thetas, 0.0, "right"))  # thetas are sorted and >= 0
     unique: list[float] = []
     group = np.empty(crossings.n_crossings - first, dtype=np.intp)
-    for g, t in enumerate(crossings.thetas[first:]):
+    for g, t in enumerate(crossings.thetas[first:].tolist()):
         if not unique or t - unique[-1] > TIE_TOL:
             unique.append(t)
         group[g] = len(unique)  # the plateau this crossing opens
@@ -151,21 +145,18 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
 
 
 def pca_project(
-    path: RankingPath, include_markers: bool = True
+    path: RankingPath, markers: dict[str, Ranking]
 ) -> tuple[np.ndarray, tuple[float, float]]:
-    """Two-component principal projection of the path's rank vectors.
+    """Two-component principal projection of the path's rank vectors and the given markers.
 
     Rows of the returned coordinate array follow the path plateaus, then
-    the markers of ``marker_rankings`` in their iteration order when
-    ``include_markers`` is set.  The projection is an orthogonal map of
+    the rankings of ``markers`` (usually ``marker_rankings(path)``, or an
+    empty dict) in their iteration order.  The projection is an orthogonal map of
     the centered rank vectors, so pairwise planar distances never exceed
     the corresponding Spearman distances.  Component signs are fixed
     (first nonzero loading positive) to make outputs reproducible.
     """
-    rows = [path.ranks]
-    if include_markers:
-        rows += [r.as_array() for r in marker_rankings(path).values()]
-    x = np.vstack(rows).astype(float)
+    x = np.vstack([path.ranks, *(r.as_array() for r in markers.values())]).astype(float)
     x -= x.mean(axis=0, keepdims=True)
     cov = x.T @ x / max(len(x) - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)

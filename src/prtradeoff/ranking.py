@@ -10,11 +10,14 @@ convention used throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .scores import (
+    PRECISION,
+    RECALL,
     TIE_TOL,
     Performance,
     ScoreFunction,
@@ -29,7 +32,10 @@ class LengthMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PerformanceSet:
-    """An ordered, immutable collection of performances (index = identity)."""
+    """An ordered, immutable collection of performances (index = identity).
+
+    What is derived from the whole set is computed on first use and cached.
+    """
 
     items: tuple[Performance, ...]
     labels: tuple[str, ...] | None = None
@@ -46,22 +52,29 @@ class PerformanceSet:
                     f"{len(labels)} labels for {len(items)} items"
                 )
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(
-            self, "_parts", np.array([p.as_array() for p in items])
-        )
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
+    @cached_property
     def parts(self) -> np.ndarray:
         """(n, 4) array of (ptn, pfp, pfn, ptp) rows."""
-        return self._parts
+        return np.array([p.as_array() for p in self.items])
 
     @property
     def total_pairs(self) -> int:
         n = len(self.items)
         return n * (n - 1) // 2
+
+    @cached_property
+    def crossings(self) -> CrossingSummary:
+        """The set's ``pair_crossings``, which every finite-set quantity counts over."""
+        return pair_crossings(self)
+
+    @cached_property
+    def endpoint_rankings(self) -> tuple[Ranking, Ranking]:
+        """The precision and recall rankings, the two ends of the F-score path."""
+        return rank_by_score(self, PRECISION), rank_by_score(self, RECALL)
 
     @classmethod
     def from_parts(cls, parts: np.ndarray, labels=None) -> "PerformanceSet":
@@ -92,6 +105,73 @@ class Ranking:
     @property
     def has_ties(self) -> bool:
         return len(set(self.ranks)) != len(self.ranks)
+
+
+@dataclass(frozen=True, eq=False)
+class CrossingSummary:
+    """All pairwise F-score crossing values of a set, with exclusion counters.
+
+    Row k of ``pairs`` holds the item indices (i < j) of the pair that
+    crosses at ``thetas[k]``.  Both arrays are read-only: a set shares them.
+    """
+
+    thetas: np.ndarray = field(repr=False)  # float64, sorted, >= 0
+    degenerate_pairs: int      # pairs tied under every F-score (excluded)
+    unanimous_pairs: int       # pairs with no finite equalizing beta
+    pairs: np.ndarray = field(repr=False)
+
+    @property
+    def n_crossings(self) -> int:
+        return len(self.thetas)
+
+    @property
+    def beta_star_squared(self) -> float | None:
+        """The median crossing value, or None when there is no crossing."""
+        if not self.n_crossings:
+            return None
+        return float(np.median(self.thetas))
+
+    @property
+    def coalesced(self) -> bool:
+        """Whether two positive crossings lie within TIE_TOL of each other."""
+        ts = self.thetas[self.thetas > 0]
+        return bool((np.diff(ts) <= TIE_TOL).any())
+
+
+def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
+    """All crossings of the set, computed anew; ``pset.crossings`` keeps one summary per set."""
+    parts = pset.parts
+    n = len(pset)
+    if n < 2:
+        raise ValueError("need at least 2 items")
+    tn, fp, fn, tp = parts.T
+    iu, ju = np.triu_indices(n, 1)
+    num = tp[iu] * fp[ju] - tp[ju] * fp[iu]
+    den = tp[iu] * fn[ju] - tp[ju] * fn[iu]
+    degenerate = (num == 0) & (den == 0)
+    n_deg = int(degenerate.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(den != 0, -num / den, np.inf)
+    # the temporaries are O(n^2): release each as soon as it is used
+    del num, den
+    crossing = np.flatnonzero(~degenerate & np.isfinite(theta) & (theta >= 0))
+    del degenerate
+    theta = theta[crossing]
+    order = np.argsort(theta)
+    theta = theta[order] + 0.0  # + 0.0 normalizes -0.0
+    crossing = crossing[order]
+    del order
+    pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
+    pairs[:, 0] = iu[crossing]
+    pairs[:, 1] = ju[crossing]
+    theta.flags.writeable = False
+    pairs.flags.writeable = False
+    return CrossingSummary(
+        thetas=theta,
+        degenerate_pairs=n_deg,
+        unanimous_pairs=len(iu) - n_deg - len(crossing),
+        pairs=pairs,
+    )
 
 
 def ranks_from_values(values: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:

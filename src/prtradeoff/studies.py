@@ -66,8 +66,9 @@ def table1_cells(n_pairs: int, seed: int) -> list[tuple[str, float, float, float
     # priors act as independent replicates, each with its own seed
     per_prior = max(n_pairs // len(PRIOR_GRID), 10**5)
     for family, expected in (("pi3", math.log(4.0) - 0.5), ("pi4", 5.0 / 6.0)):
+        star = dist.optimal_vertex_offset(family)
         vals = [
-            dist.mc_pencil_optimality(family, 1.0, per_prior, seed + 50 + i)
+            dist.mc_pencil_optimality(family, 1.0, per_prior, seed + 50 + i, optimal_offset=star)
             for i in range(len(PRIOR_GRID))
         ]
         cells.append((f"{family}_sivf_degree", sum(vals) / len(vals), expected, 0.01))

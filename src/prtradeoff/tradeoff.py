@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import _BAND, PerformanceSet, _SideCounts, discordance, rank_by_score
+from .ranking import _BAND, PerformanceSet, _SideCounts, discordance, pair_crossings, rank_by_score
+from .ranking import CrossingSummary  # noqa: F401  (importable from here too)
 from .scores import (
     F1,
     PRECISION,
@@ -51,71 +52,7 @@ def crossing_beta_squared(p1: Performance, p2: Performance) -> float | None:
     summary = pair_crossings(PerformanceSet((p1, p2)))
     if summary.degenerate_pairs:
         raise DegeneratePairError("pair is equivalent under every F-score")
-    return summary.thetas[0] if summary.thetas else None
-
-
-@dataclass(frozen=True)
-class CrossingSummary:
-    """All pairwise F-score crossing values of a set, with exclusion counters.
-
-    Row k of ``pairs`` holds the item indices (i < j) of the pair that
-    crosses at ``thetas[k]``.
-    """
-
-    thetas: tuple[float, ...]  # sorted, >= 0
-    degenerate_pairs: int      # pairs tied under every F-score (excluded)
-    unanimous_pairs: int       # pairs with no finite equalizing beta
-    pairs: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def n_crossings(self) -> int:
-        return len(self.thetas)
-
-    @property
-    def beta_star_squared(self) -> float | None:
-        """The median crossing value, or None when there is no crossing."""
-        if not self.thetas:
-            return None
-        return float(np.median(self.thetas))
-
-    @property
-    def coalesced(self) -> bool:
-        """Whether two positive crossings lie within TIE_TOL of each other."""
-        ts = [t for t in self.thetas if t > 0]
-        return any(b - a <= TIE_TOL for a, b in zip(ts, ts[1:]))
-
-
-def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
-    parts = pset.parts
-    n = len(pset)
-    if n < 2:
-        raise ValueError("need at least 2 items")
-    tn, fp, fn, tp = parts.T
-    iu, ju = np.triu_indices(n, 1)
-    num = tp[iu] * fp[ju] - tp[ju] * fp[iu]
-    den = tp[iu] * fn[ju] - tp[ju] * fn[iu]
-    degenerate = (num == 0) & (den == 0)
-    n_deg = int(degenerate.sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(den != 0, -num / den, np.inf)
-    # the temporaries are O(n^2): release each as soon as it is used
-    del num, den
-    crossing = np.flatnonzero(~degenerate & np.isfinite(theta) & (theta >= 0))
-    del degenerate
-    theta = theta[crossing]
-    order = np.argsort(theta)
-    theta = theta[order] + 0.0  # + 0.0 normalizes -0.0
-    crossing = crossing[order]
-    del order
-    pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
-    pairs[:, 0] = iu[crossing]
-    pairs[:, 1] = ju[crossing]
-    return CrossingSummary(
-        thetas=tuple(theta.tolist()),
-        degenerate_pairs=n_deg,
-        unanimous_pairs=len(iu) - n_deg - len(crossing),
-        pairs=pairs,
-    )
+    return float(summary.thetas[0]) if summary.n_crossings else None
 
 
 def optimal_beta(pset: PerformanceSet) -> tuple[float | None, list[float]]:
@@ -124,10 +61,10 @@ def optimal_beta(pset: PerformanceSet) -> tuple[float | None, list[float]]:
     Returns (None, []) when precision and recall already agree on every
     pair, in which case every beta is optimal.  Degenerate pairs are
     excluded from the median pool; their count is available through
-    ``pair_crossings``.
+    ``pset.crossings``.
     """
-    summary = pair_crossings(pset)
-    return summary.beta_star_squared, list(summary.thetas)
+    summary = pset.crossings
+    return summary.beta_star_squared, summary.thetas.tolist()
 
 
 def optimal_interval(thetas) -> tuple[float, float] | None:
@@ -166,9 +103,7 @@ def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarra
     return 2.0 * TIE_TOL * s[i] * s[j] / den + theta_error / (1.0 + theta)
 
 
-def _side_counts(
-    pset: PerformanceSet, crossings: CrossingSummary, betas
-) -> tuple[np.ndarray, np.ndarray]:
+def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta.
 
     Only a crossing pair can be discordant with either endpoint.  Each
@@ -191,10 +126,9 @@ def _side_counts(
     if bad.size:
         raise UndefinedScoreError(0, fbeta(betas[bad[0]]).label())
     parts = pset.parts
-    r_pr = rank_by_score(pset, PRECISION).as_array()
-    r_re = rank_by_score(pset, RECALL).as_array()
-    i, j = crossings.pairs.T
-    theta = np.asarray(crossings.thetas, dtype=float)
+    r_pr, r_re = (r.as_array() for r in pset.endpoint_rankings)
+    i, j = pset.crossings.pairs.T
+    theta = pset.crossings.thetas
     s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where item i is ahead
     s_re = np.sign(r_re[j] - r_re[i])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,7 +160,6 @@ def frechet_curve(
     betas=None,
     grid_points: int = 41,
     grid_span: tuple[float, float] = (1e-3, 1e3),
-    crossings: CrossingSummary | None = None,
 ) -> list[tuple[float, float]]:
     """Sampled (beta, Frechet variance) curve.
 
@@ -234,22 +167,20 @@ def frechet_curve(
     when ``betas`` is not given the log-spaced grid is augmented with the
     transition betas themselves and the geometric midpoints of adjacent
     transitions: every plateau, including the optimal one, is probed.
-    ``crossings`` may be passed to reuse the set's ``pair_crossings``.
+    The transitions and the counts come from the set's cached crossings.
     """
-    if crossings is None:
-        crossings = pair_crossings(pset)
     if betas is None:
         bs = set(np.geomspace(grid_span[0], grid_span[1], grid_points))
         bs.add(0.0)
-        ts = [t for t in crossings.thetas if t > 0]
-        roots = [math.sqrt(t) for t in ts]
+        thetas = pset.crossings.thetas
+        roots = np.sqrt(thetas[thetas > 0]).tolist()
         bs.update(roots)
         bs.update(math.sqrt(a * b) for a, b in zip(roots, roots[1:]))
         if roots:
             bs.add(2.0 * roots[-1])
         betas = sorted(bs)
     total = pset.total_pairs
-    d_pr, d_re = _side_counts(pset, crossings, betas)
+    d_pr, d_re = _side_counts(pset, betas)
     out = []
     for b, n1, n2 in zip(betas, d_pr.tolist(), d_re.tolist()):
         d1 = n1 / total
@@ -297,10 +228,9 @@ class OptimalityBreakdown:
 def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
     """d(Pr, Re), the pair count, and a function giving any candidate's breakdown.
 
-    Precision, recall and F_beta* are ranked once here for all candidates.
+    F_beta* is ranked once here for all candidates.
     """
-    r_pr = rank_by_score(pset, PRECISION)
-    r_re = rank_by_score(pset, RECALL)
+    r_pr, r_re = pset.endpoint_rankings
     d_pr_re, total = discordance(r_pr, r_re)
     if d_pr_re == 0 or beta_star_squared is None:
         one = Fraction(1)
@@ -345,18 +275,12 @@ def heuristic_beta(pset: PerformanceSet) -> float:
     return math.sqrt(fp_sum / fn_sum)
 
 
-def equidistance_gap(
-    pset: PerformanceSet,
-    beta_squared: float,
-    crossings: CrossingSummary | None = None,
-) -> Fraction:
+def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
     """|d(Pr, F) - d(F, Re)| at the given beta^2, as an exact fraction.
 
-    ``crossings`` may be passed to reuse the set's ``pair_crossings``.
+    Counted over the set's cached crossings.
     """
-    if crossings is None:
-        crossings = pair_crossings(pset)
-    d_pr, d_re = _side_counts(pset, crossings, [math.sqrt(beta_squared)])
+    d_pr, d_re = _side_counts(pset, [math.sqrt(beta_squared)])
     return Fraction(abs(int(d_pr[0]) - int(d_re[0])), pset.total_pairs)
 
 
@@ -394,10 +318,10 @@ def analyze_set(
     whose score is undefined somewhere on the set are skipped and listed
     with the reason); ``extra_betas`` adds user-chosen F-scores.
     """
-    summary = pair_crossings(pset)
+    summary = pset.crossings
     b2_star = summary.beta_star_squared
     d_pr_re, total, breakdown = _breakdowns(pset, b2_star)
-    thetas = summary.thetas
+    thetas = tuple(summary.thetas.tolist())
     interval = optimal_interval(thetas)
 
     try:
@@ -430,9 +354,9 @@ def analyze_set(
         degenerate_pairs=summary.degenerate_pairs,
         unanimous_pairs=summary.unanimous_pairs,
         coalesced=summary.coalesced,
-        equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star, summary),
+        equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star),
         heuristic=heur,
-        frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span, summary)),
+        frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span)),
         optimality=optimality,
         skipped_candidates=skipped,
     )

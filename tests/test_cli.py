@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prtradeoff import cli
+import prtradeoff
+from prtradeoff import PRECISION, RECALL, cli
 
 FIXTURE = Path(__file__).parent / "data" / "nearoracle57.csv"
 
@@ -148,6 +149,52 @@ def test_manifold_command(tmp_path):
     assert dists == sorted(dists)
     _, _, traj_rows = read_csv_rows(out / "rank_trajectories.csv")
     assert len(traj_rows) == 57 * len(rows)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``prtradeoff.<name>`` in every package module that binds it; returns its calls' arguments."""
+    original = getattr(prtradeoff, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "prtradeoff":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_analyze_derives_each_per_set_quantity_once(tmp_path, monkeypatch):
+    crossings = _count_calls(monkeypatch, "pair_crossings")
+    ranked = _count_calls(monkeypatch, "rank_by_score")
+    markers = _count_calls(monkeypatch, "marker_rankings")
+    roc120 = FIXTURE.parent / "roc120.csv"
+    assert cli.main(["analyze", "--input", str(roc120), "--out", str(tmp_path / "out")]) == 0
+    labels = [score.label() for _, score in ranked]
+    assert len(crossings) == 1
+    assert labels.count(PRECISION.label()) == 1
+    assert labels.count(RECALL.label()) == 1
+    assert len(markers) == 1
+
+
+def test_pca_of_identical_rankings_collapses_to_one_point(tmp_path):
+    # a dominance chain: every score ranks the three items alike
+    csv_path = tmp_path / "chain.csv"
+    csv_path.write_text("fpr,tpr\n0.1,0.9\n0.2,0.8\n0.3,0.7\n")
+    for command in ("manifold", "analyze"):
+        out = tmp_path / command
+        argv = [command, "--input", str(csv_path), "--prior", "0.3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        comments, header, rows = read_csv_rows(out / "pca.csv")
+        assert comments[1:] == ["# degenerate_spread=all rankings identical",
+                                "# explained_variance_ratio=0.0,0.0"]
+        assert header == ["kind", "label", "pc1", "pc2"]
+        assert [r[1] for r in rows] == ["plateau_0", "f1", "sivf", "optimal"]
+        assert all(float(x) == 0.0 for r in rows for x in r[2:])
 
 
 def test_sweep_pi1(tmp_path):

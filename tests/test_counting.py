@@ -77,12 +77,12 @@ def assert_path_matches_direct_probing(pset, path):
     assert len(probes) == path.n_plateaus
     for k, b in enumerate(probes):
         r = rank_by_score(pset, fbeta(b))
-        assert path.rankings[k] == r
+        assert path.ranking(k) == r
         assert path.distances_from_precision[k] == Fraction(discordance(r_pr, r)[0], pset.total_pairs)
     traj = rank_trajectories(path)
     assert traj.shape == (len(pset), path.n_plateaus)
     for k in range(path.n_plateaus):
-        assert tuple(traj[:, k]) == path.rankings[k].ranks
+        assert tuple(traj[:, k]) == path.ranking(k).ranks
 
 
 cell = st.floats(min_value=0.01, max_value=1.0, allow_nan=False, allow_subnormal=False)
@@ -164,8 +164,8 @@ def test_three_items_reversing_as_a_block():
     assert path.coalesced
     assert path.n_plateaus == 2
     assert path.transition_betas == (pytest.approx(1.0),)
-    assert path.rankings[0].ranks == (2, 3, 4, 1)
-    assert path.rankings[1].ranks == (4, 3, 2, 1)
+    assert path.ranking(0).ranks == (2, 3, 4, 1)
+    assert path.ranking(1).ranks == (4, 3, 2, 1)
     assert path.distances_from_precision == (Fraction(0), Fraction(3, 6))
     assert_path_matches_direct_probing(pset, path)
     assert path.n_plateaus == dense_grid_plateaus(pset, path)

@@ -1,6 +1,6 @@
-"""Golden outputs of ``analyze`` on two frozen inputs, and of ``table1`` and ``sweep``.
+"""Golden outputs of ``analyze`` on two frozen inputs, of ``manifold`` on one, and of ``table1`` and ``sweep``.
 
-The ``analyze`` hashes and the compressed ``pca.csv`` files under
+The ``analyze`` hashes and their compressed ``pca.csv`` files under
 ``data/golden`` were produced by the implementation that probed every
 plateau by re-ranking all items, before the finite-set engine switched
 to counting crossings.  The ``table1`` and ``sweep`` hashes were produced
@@ -10,11 +10,15 @@ breakpoints; the two ``sweep`` runs at 200000 pairs by the
 implementation that drew and counted Monte Carlo blocks one after
 another, before the blocks were counted concurrently; the ``sweep`` run
 of pi3 by the implementation whose CLI built the study tables itself,
-before they moved into ``prtradeoff.studies``.  Both ``analyze``
-runs use a relative ``--input`` from inside ``tests/data``, because the
-input path is part of the config hash that every output carries.  ``pca.csv`` goes through an eigendecomposition
-whose last bits depend on the linear-algebra library, so it is compared
-numerically; every other file must match byte for byte.
+before they moved into ``prtradeoff.studies``.  The ``manifold`` hashes
+and ``roc120_manifold_pca.csv.gz`` were produced by the implementation
+that recomputed a set's crossings and endpoint rankings on every use,
+before the set cached them.  The ``analyze`` and ``manifold`` runs use a
+relative ``--input`` from inside ``tests/data``, because the input path
+is part of the config hash that every output carries.  ``pca.csv`` goes
+through an eigendecomposition whose last bits depend on the
+linear-algebra library, so it is compared numerically; every other file
+must match byte for byte.
 """
 
 import csv
@@ -75,13 +79,33 @@ def test_analyze_matches_golden_outputs(key, tmp_path, monkeypatch):
     for fname, digest in GOLDEN[key].items():
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
 
-    golden = gzip.decompress((DATA / "golden" / f"{Path(name).stem}_pca.csv.gz").read_bytes())
+    _assert_pca_matches(out / "pca.csv", f"{Path(name).stem}_pca.csv.gz")
+
+
+def _assert_pca_matches(path, golden_name):
+    golden = gzip.decompress((DATA / "golden" / golden_name).read_bytes())
     want = _pca_table(golden.decode())
-    got = _pca_table((out / "pca.csv").read_text())
+    got = _pca_table(path.read_text())
     assert got[0] == want[0]
     assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-9)
     assert got[2:4] == want[2:4]
     np.testing.assert_allclose(got[4], want[4], rtol=1e-9, atol=1e-9)
+
+
+MANIFOLD_GOLDEN = {
+    "plateaus.csv": "1b9fced22a5814f3b36fae6c5eaeb323040b0df763aeab40c756c239aa4d6450",
+    "rank_trajectories.csv": "98c599d5ece91b99ba666d1fc9b8e8ab2b2564d2df3bef933f039d0e5f820da4",
+}
+
+
+def test_manifold_matches_golden_outputs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.chdir(DATA)
+    assert cli.main(["manifold", "--input", "roc120.csv", "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == sorted([*MANIFOLD_GOLDEN, "pca.csv"])
+    for fname, digest in MANIFOLD_GOLDEN.items():
+        assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
+    _assert_pca_matches(out / "pca.csv", "roc120_manifold_pca.csv.gz")
 
 
 DISTRIBUTION_GOLDEN = {

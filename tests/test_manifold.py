@@ -53,7 +53,7 @@ def test_unanimous_set_gives_single_plateau():
     assert path.n_plateaus == 1
     assert path.transition_betas == ()
     assert path.distances_from_precision == (Fraction(0),)
-    assert path.rankings[0].ranks == rank_by_score(pset, RECALL).ranks
+    assert path.ranking(0).ranks == rank_by_score(pset, RECALL).ranks
 
 
 def test_engineered_three_item_path():
@@ -72,7 +72,7 @@ def test_engineered_three_item_path():
     assert not path.coalesced
     # cross-check each plateau against direct ranking at an interior beta
     for beta, expect in [(0.1, 0), (1.0, 1), (10.0, 2)]:
-        assert rank_by_score(pset, fbeta(beta)).ranks == path.rankings[expect].ranks
+        assert rank_by_score(pset, fbeta(beta)).ranks == path.ranking(expect).ranks
         assert path.plateau_of(beta) == expect
 
 
@@ -80,11 +80,11 @@ def test_path_endpoints_and_monotone_distances():
     for seed in range(6):
         pset = random_pset(seed + 50, 10)
         path = build_path(pset)
-        assert path.rankings[0].ranks == rank_by_score(pset, PRECISION).ranks
-        assert path.rankings[-1].ranks == rank_by_score(pset, RECALL).ranks
+        assert path.ranking(0).ranks == rank_by_score(pset, PRECISION).ranks
+        assert path.ranking(path.n_plateaus - 1).ranks == rank_by_score(pset, RECALL).ranks
         d = path.distances_from_precision
         assert all(b > a for a, b in zip(d, d[1:]))
-        full = kendall_distance(path.rankings[0], path.rankings[-1])
+        full = kendall_distance(path.ranking(0), path.ranking(path.n_plateaus - 1))
         assert float(d[-1]) == pytest.approx(full)
         # without coalescing every transition is exactly one adjacent swap
         if not path.coalesced:
@@ -125,7 +125,8 @@ def test_marker_rankings():
     assert markers["f1"].ranks == rank_by_score(pset, fbeta(1.0)).ranks
     assert "sivf" in markers
     half = path.distances_from_precision[-1] / 2
-    d_star = path.distances_from_precision[path.rankings.index(markers["optimal"])]
+    plateaus = [path.ranking(k) for k in range(path.n_plateaus)]
+    d_star = path.distances_from_precision[plateaus.index(markers["optimal"])]
     assert abs(d_star - half) <= Fraction(1, 2 * pset.total_pairs)
 
 
@@ -142,12 +143,13 @@ def test_optimal_plateau_is_nearest_to_halfway():
 def test_pca_projection_is_contractive_and_deterministic():
     pset = random_pset(62, 15)
     path = build_path(pset)
-    coords, explained = pca_project(path)
-    coords2, _ = pca_project(path)
+    markers = marker_rankings(path)
+    coords, explained = pca_project(path, markers)
+    coords2, _ = pca_project(path, markers)
     assert (coords == coords2).all()
     assert explained[0] >= explained[1] >= 0.0
 
-    rows = list(path.rankings) + list(marker_rankings(path).values())
+    rows = [path.ranking(k) for k in range(path.n_plateaus)] + list(markers.values())
     assert coords.shape == (len(rows), 2)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -158,8 +160,8 @@ def test_pca_projection_is_contractive_and_deterministic():
 def test_pca_identical_rankings_map_together():
     pset = random_pset(63, 10)
     path = build_path(pset)
-    coords, _ = pca_project(path)
     markers = marker_rankings(path)
+    coords, _ = pca_project(path, markers)
     names = list(markers)
     f1_row = path.n_plateaus + names.index("f1")
     f1_plateau = path.plateau_of(1.0)
@@ -169,7 +171,7 @@ def test_pca_identical_rankings_map_together():
 def test_pca_explains_fixed_prior_manifold():
     pset = PerformanceSet(tuple(sample(fixed_priors_spec(0.1), 64, 60)))
     path = build_path(pset)
-    _, explained = pca_project(path)
+    _, explained = pca_project(path, marker_rankings(path))
     assert explained[0] + explained[1] >= 0.90
 
 
@@ -178,7 +180,7 @@ def test_pca_degenerate_spread():
     xs = ys / (2.0 + ys)
     path = build_path(roc_pset(list(zip(xs, ys)), prior=0.3))
     with pytest.raises(DegenerateSpreadError):
-        pca_project(path, include_markers=False)
+        pca_project(path, {})
 
 
 def test_rank_trajectories():
@@ -189,7 +191,7 @@ def test_rank_trajectories():
     n = len(pset)
     assert (traj.sum(axis=0) == n * (n + 1) // 2).all()
     for k in range(path.n_plateaus):
-        assert tuple(traj[:, k]) == path.rankings[k].ranks
+        assert tuple(traj[:, k]) == path.ranking(k).ranks
 
     # a unanimous leader keeps rank 1 across the whole sweep
     pset2 = roc_pset([(0.05, 0.9), (0.4, 0.7), (0.2, 0.8)])

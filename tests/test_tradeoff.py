@@ -376,3 +376,23 @@ def test_analyze_set_ranks_each_candidate_and_the_optimum_once(monkeypatch):
         assert report.optimality[name] == optimality_decomposition(
             pset, score, report.beta_star_squared
         )
+
+
+def test_a_set_shares_one_read_only_crossing_summary():
+    pset = random_pset(41, 15)
+    summary = pset.crossings
+    assert pset.crossings is summary
+    assert summary.thetas.dtype == np.float64
+    assert (np.diff(summary.thetas) >= 0).all()
+    with pytest.raises(ValueError):
+        pair_crossings(pset).thetas[0] = 1.0
+    with pytest.raises(ValueError):
+        summary.pairs[0, 0] = 0
+    # the public values built from it keep their Python types
+    b2, thetas = optimal_beta(pset)
+    assert thetas == summary.thetas.tolist()
+    assert all(type(t) is float for t in thetas)
+    assert type(b2) is float
+    report = analyze_set(pset)
+    assert report.transition_thetas == tuple(thetas)
+    assert all(type(t) is float for t in report.transition_thetas)
