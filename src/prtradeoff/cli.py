@@ -137,10 +137,11 @@ def _pca_table(path) -> tuple[list[str], list[tuple]]:
 def _write_manifold_files(out: Path, path, pca, comments) -> None:
     labels = _item_labels(path.pset)
 
-    rows = [
+    total = path.pset.total_pairs
+    rows = (
         (k, *path.plateau_bounds(k), _frac(d), float(d))
-        for k, d in enumerate(path.distances_from_precision)
-    ]
+        for k, d in enumerate(Fraction(s, total) for s in path.swaps)
+    )
     _write_csv(
         out / "plateaus.csv",
         comments,
@@ -148,13 +149,14 @@ def _write_manifold_files(out: Path, path, pca, comments) -> None:
         rows,
     )
 
-    # n_items x n_plateaus rows: format each plateau's cells and each label once
+    # n_items x n_plateaus rows: format each plateau's cells and each label once,
+    # and convert one item's ranks at a time
     cells = [_csv_prefix(k, *path.plateau_bounds(k)) for k in range(path.n_plateaus)]
     with open(out / "rank_trajectories.csv", "w", newline="") as fh:
         _write_csv_head(fh, comments, ("item", "plateau", "beta_low", "beta_high", "rank"))
-        for label, ranks in zip(labels, rank_trajectories(path).tolist()):
+        for label, ranks in zip(labels, rank_trajectories(path)):
             prefix = _csv_prefix(label)
-            fh.write("".join([f"{prefix}{cell}{r}\r\n" for cell, r in zip(cells, ranks)]))
+            fh.write("".join([f"{prefix}{cell}{r}\r\n" for cell, r in zip(cells, ranks.tolist())]))
 
     extra, rows = pca
     _write_csv(out / "pca.csv", [*comments, *extra], ("kind", "label", "pc1", "pc2"), rows)
@@ -253,18 +255,6 @@ def cmd_manifold(args) -> int:
     return EXIT_OK
 
 
-def _spec_for(family: str, param: float | None) -> dist.DistributionSpec:
-    if family == "pi1":
-        if param is not None:
-            raise ValueError("pi1 takes no --param")
-        return dist.uniform_spec()
-    if param is None:
-        raise ValueError(f"{family} requires --param")
-    if family == "pi2":
-        return dist.fixed_tn_spec(param)
-    return dist.DistributionSpec(family, prior_pos=float(param))
-
-
 def cmd_sweep(args) -> int:
     config = {
         "command": "sweep",
@@ -274,7 +264,9 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
     }
     chash = _config_hash(config)
-    spec = _spec_for(args.family, args.param)
+    # pi1 takes no parameter, so it rejects a --param passed as its ptn
+    key = "ptn" if args.family in ("pi1", "pi2") else "prior_pos"
+    spec = dist.DistributionSpec(args.family, **{key: args.param})
     tables, summary = studies.sweep_tables(spec, args.pairs, args.seed)
 
     out = _out_dir(args.out)

@@ -43,6 +43,13 @@ class RedrawLimitError(RuntimeError):
     """Too many degenerate Monte Carlo pairs (undefined or tied scores)."""
 
 
+def _check_prior_pos(prior_pos) -> float:
+    p = float(prior_pos)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """One of the five families plus its parameter, if any."""
@@ -65,8 +72,7 @@ class DistributionSpec:
         else:
             if self.prior_pos is None or self.ptn is not None:
                 raise ValueError(f"{self.family} takes exactly the prior_pos parameter")
-            if not 0.0 < self.prior_pos < 1.0:
-                raise ValueError(f"prior_pos must be in (0, 1), got {self.prior_pos!r}")
+            _check_prior_pos(self.prior_pos)
 
     def label(self) -> str:
         if self.family == "pi2":
@@ -329,21 +335,19 @@ def analytic_tau_above_no_skill(side: str, offset: float) -> float:
 
 def analytic_tau_pr_re_near_oracle(prior_pos: float) -> float:
     """tau(precision, recall) under pi5; lies in (0, 1/2) for every prior."""
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     return 1.0 - (-p**4 + 2.0 * p**4 * math.log(p) + p**2) / (
         2.0 * (1.0 - p) ** 2 * p**2
     )
 
 
-def golden_section_min(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Bracketed 1-D minimization of a unimodal function."""
+def golden_section_min(f, lo: float, hi: float) -> float:
+    """Bracketed 1-D minimization of a unimodal function, to a bracket narrower than 1e-9."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - gr * (hi - lo)
     d = lo + gr * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - gr * (hi - lo)
@@ -361,16 +365,21 @@ _ANALYTIC_TAU = {
 }
 
 
+def _analytic_tau(family: str):
+    """The closed-form tau of pi3 or pi4; any other family is an error."""
+    try:
+        return _ANALYTIC_TAU[family]
+    except KeyError:
+        raise ValueError(f"family must be pi3 or pi4, got {family!r}") from None
+
+
 def optimal_vertex_offset(family: str) -> float:
     """The vertex offset minimizing the Frechet variance under pi3 or pi4.
 
     Roughly 0.61585 for pi3 and 0.48 for pi4; at the optimum the two
     correlation sides are equal.
     """
-    try:
-        tau = _ANALYTIC_TAU[family]
-    except KeyError:
-        raise ValueError(f"family must be pi3 or pi4, got {family!r}") from None
+    tau = _analytic_tau(family)
 
     def variance(ell: float) -> float:
         d1 = (1.0 - tau("pr", ell)) / 2.0
@@ -382,10 +391,7 @@ def optimal_vertex_offset(family: str) -> float:
 
 def f1_equidistance_prior(family: str) -> float:
     """The prior at which the balanced F-score equalizes both correlation sides, under pi3 or pi4."""
-    try:
-        tau = _ANALYTIC_TAU[family]
-    except KeyError:
-        raise ValueError(f"family must be pi3 or pi4, got {family!r}") from None
+    tau = _analytic_tau(family)
 
     def gap(p: float) -> float:
         off = p / (1.0 - p)  # the balanced F-score's vertex offset at this prior
@@ -401,9 +407,7 @@ def f1_equidistance_prior(family: str) -> float:
 
 def beta_for_offset(offset: float, prior_pos: float) -> tuple[float, float]:
     """(beta^2, recall weight b) of the F-score with the given vertex offset at the given prior."""
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     beta_squared = float(offset) * (1.0 - p) / p
     return beta_squared, beta_squared / (1.0 + beta_squared)
 
@@ -585,9 +589,7 @@ def mc_tau_sides_near_oracle(
     prior_pos: float, offset: float, n_pairs: int = 10**6, seed: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo (tau(Pr, F), tau(F, Re)) under pi5 for a pencil score."""
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     offset = _check_pencil_offset("offset", offset)
     _check_n_pairs(n_pairs)
     return _near_oracle_sides(_near_oracle_uniforms(n_pairs, seed), p, offset)
@@ -597,9 +599,7 @@ def mc_optimal_vertex_offset_near_oracle(
     prior_pos: float, n_pairs: int = 10**6, seed: int = 0
 ) -> float:
     """Vertex offset equalizing the two correlation sides under pi5."""
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     _check_n_pairs(n_pairs)
     lo, hi = 1e-4, 100.0
     counts = _offset_counts(_near_oracle_uniforms(n_pairs, seed), p, lo, hi)
@@ -626,8 +626,7 @@ def mc_pencil_optimality(
     orders like the optimal tradeoff.  The ROC geometry of pi3/pi4 does
     not depend on the prior, so neither does the result.
     """
-    if family not in ("pi3", "pi4"):
-        raise ValueError(f"family must be pi3 or pi4, got {family!r}")
+    _analytic_tau(family)  # rejects families other than pi3 and pi4
     candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
     _check_n_pairs(n_pairs)
     if optimal_offset is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,19 +30,18 @@ class RankingPath:
 
     ``transition_betas`` holds the distinct betas (square roots of the
     crossing beta^2 values) at which the ranking changes; ``ranks`` has
-    one row of ranks per plateau, so it is one longer.  ``coalesced`` is
-    set when several distinct pairs cross at the same beta (within
-    tolerance), in which case a transition may move the ranking by more
-    than one adjacent swap.  ``beta_star_squared`` is the median crossing
-    value, the optimal tradeoff (None when no pair crosses).
+    one row of ranks per plateau, so it is one longer, and is read-only:
+    consumers read it in place.  ``swaps[k]`` is the number of pair swaps
+    from precision to plateau k, which is the number of pairs plateau k
+    orders against precision; the last one is d(Pr, Re).  Whether
+    crossings coalesce, and the optimal beta^2, are the set's:
+    ``pset.crossings``.
     """
 
     pset: PerformanceSet
     transition_betas: tuple[float, ...]
-    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items)
-    distances_from_precision: tuple[Fraction, ...]
-    coalesced: bool
-    beta_star_squared: float | None
+    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items), read-only
+    swaps: tuple[int, ...]
 
     @property
     def n_plateaus(self) -> int:
@@ -66,8 +64,7 @@ class RankingPath:
     @property
     def optimal_plateau(self) -> int:
         """Plateau whose distance from precision is nearest to half the total."""
-        half = self.distances_from_precision[-1] / 2
-        gaps = [abs(d - half) for d in self.distances_from_precision]
+        gaps = [abs(2 * s - self.swaps[-1]) for s in self.swaps]
         return gaps.index(min(gaps))
 
 
@@ -82,7 +79,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     one and the other's shrinks by one.  Each plateau's distance from
     precision is the number of swaps so far, and the last plateau is
     checked against recall.  The rankings and crossings are the set's
-    cached ones.
+    cached ones; the rank matrix is returned read-only.
     """
     r_pr, r_re = pset.endpoint_rankings
     if r_pr.has_ties or r_re.has_ties:
@@ -108,19 +105,14 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     if not np.array_equal(ranks[-1], r_re.as_array()):
         raise RuntimeError("last plateau does not match the recall ranking")
 
-    total = pset.total_pairs
+    ranks.flags.writeable = False
     swaps = np.cumsum(np.bincount(group, minlength=len(unique) + 1))
     return RankingPath(
         pset=pset,
         transition_betas=tuple(math.sqrt(t) for t in unique),
         ranks=ranks,
-        distances_from_precision=tuple(Fraction(s, total) for s in swaps.tolist()),
-        coalesced=crossings.coalesced,
-        beta_star_squared=crossings.beta_star_squared,
+        swaps=tuple(swaps.tolist()),
     )
-
-
-MARKER_NAMES = ("f1", "sivf", "optimal")
 
 
 def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
@@ -136,7 +128,7 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
         out["sivf"] = rank_by_score(path.pset, SIVF)
     except UndefinedScoreError:
         pass
-    b2_star = path.beta_star_squared
+    b2_star = path.pset.crossings.beta_star_squared
     if b2_star is None:
         out["optimal"] = path.ranking(0)
     else:
@@ -156,7 +148,7 @@ def pca_project(
     the corresponding Spearman distances.  Component signs are fixed
     (first nonzero loading positive) to make outputs reproducible.
     """
-    x = np.vstack([path.ranks, *(r.as_array() for r in markers.values())]).astype(float)
+    x = np.vstack([path.ranks, *(r.ranks for r in markers.values())], dtype=float)
     x -= x.mean(axis=0, keepdims=True)
     cov = x.T @ x / max(len(x) - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -180,12 +172,12 @@ def correlations_vs_beta(
 ) -> list[tuple[float, float, float]]:
     """(beta, tau(Pr, F_beta), tau(F_beta, Re)) rows on a log grid plus 0 and every transition beta.
 
-    Exact step values from the plateau distances, via the shortest-path
+    Exact step values from the plateau swap counts, via the shortest-path
     identity d(Pr, Re) = d(Pr, F) + d(F, Re), as correctly rounded ratios
     of discordant-pair counts.
     """
     total = path.pset.total_pairs
-    d_pr_re = int(path.distances_from_precision[-1] * total)
+    d_pr_re = path.swaps[-1]
     grid = sorted(
         set(np.geomspace(grid_span[0], grid_span[1], grid_points))
         | set(path.transition_betas)
@@ -193,12 +185,12 @@ def correlations_vs_beta(
     )
     rows = []
     for b in grid:
-        n1 = int(path.distances_from_precision[path.plateau_of(b)] * total)
+        n1 = path.swaps[path.plateau_of(b)]
         n2 = d_pr_re - n1
         rows.append((b, (total - 2 * n1) / total, (total - 2 * n2) / total))
     return rows
 
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:
-    """(n_items, n_plateaus) matrix of ranks: one step function of beta per item."""
-    return path.ranks.T.copy()
+    """(n_items, n_plateaus) read-only view of the path's ranks: one step function of beta per item."""
+    return path.ranks.T

@@ -174,10 +174,10 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     )
 
 
-def ranks_from_values(values: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
-    """rank[i] = #{j : values[j] >= values[i] - tol} (ties share the worst rank)."""
+def ranks_from_values(values: np.ndarray) -> np.ndarray:
+    """rank[i] = #{j : values[j] >= values[i] - TIE_TOL} (ties share the worst rank)."""
     v = np.asarray(values, dtype=float)
-    return (v[None, :] - v[:, None] >= -tol).sum(axis=1)
+    return (v[None, :] - v[:, None] >= -TIE_TOL).sum(axis=1)
 
 
 def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:

@@ -260,7 +260,7 @@ def optimality_decomposition(
     recall never disagree yields the vacuous breakdown (degree 1).
     """
     if beta_star_squared is None:
-        beta_star_squared, _ = optimal_beta(pset)
+        beta_star_squared = pset.crossings.beta_star_squared
     _, _, breakdown = _breakdowns(pset, beta_star_squared)
     return breakdown(candidate)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +150,24 @@ def test_manifold_command(tmp_path):
     assert dists == sorted(dists)
     _, _, traj_rows = read_csv_rows(out / "rank_trajectories.csv")
     assert len(traj_rows) == 57 * len(rows)
+
+
+def test_manifold_reads_the_path_in_place(tmp_path):
+    # 200 uniform ROC points: about 4900 plateaus, a 7.8 MB rank matrix.  The
+    # path's own matrix plus PCA's one float matrix come to 2.4 times its
+    # size; a further copy of it (the trajectories, an int64 stack) exceeds the bound.
+    fpr, tpr = np.random.default_rng(0).uniform(size=(2, 200))
+    csv_path = tmp_path / "roc200.csv"
+    csv_path.write_text("fpr,tpr\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(fpr.tolist(), tpr.tolist())))
+    nbytes = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).ranks.nbytes
+    argv = ["manifold", "--input", str(csv_path), "--prior", "0.5", "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * nbytes
 
 
 def _count_calls(monkeypatch, name):

@@ -78,7 +78,7 @@ def assert_path_matches_direct_probing(pset, path):
     for k, b in enumerate(probes):
         r = rank_by_score(pset, fbeta(b))
         assert path.ranking(k) == r
-        assert path.distances_from_precision[k] == Fraction(discordance(r_pr, r)[0], pset.total_pairs)
+        assert path.swaps[k] == discordance(r_pr, r)[0]
     traj = rank_trajectories(path)
     assert traj.shape == (len(pset), path.n_plateaus)
     for k in range(path.n_plateaus):
@@ -149,10 +149,10 @@ def test_two_disjoint_pairs_crossing_at_the_same_theta():
     crossings = pair_crossings(pset)
     assert sum(abs(t - 1.7) <= 1e-12 for t in crossings.thetas) == 2
     path = build_path(pset)
-    assert path.coalesced
+    assert pset.crossings.coalesced
     k = path.plateau_of(math.sqrt(1.7) * (1 + 1e-9))
-    steps = [b - a for a, b in zip(path.distances_from_precision, path.distances_from_precision[1:])]
-    assert steps[k - 1] == Fraction(2, pset.total_pairs)
+    steps = [b - a for a, b in zip(path.swaps, path.swaps[1:])]
+    assert steps[k - 1] == 2
     assert_path_matches_direct_probing(pset, path)
     assert path.n_plateaus == dense_grid_plateaus(pset, path)
 
@@ -161,12 +161,12 @@ def test_three_items_reversing_as_a_block():
     # three points on one pencil line through (-1, 0), plus a unanimous leader
     pset = roc_pset([(0.1, 0.55), (0.3, 0.65), (0.6, 0.8), (0.02, 0.95)])
     path = build_path(pset)
-    assert path.coalesced
+    assert pset.crossings.coalesced
     assert path.n_plateaus == 2
     assert path.transition_betas == (pytest.approx(1.0),)
     assert path.ranking(0).ranks == (2, 3, 4, 1)
     assert path.ranking(1).ranks == (4, 3, 2, 1)
-    assert path.distances_from_precision == (Fraction(0), Fraction(3, 6))
+    assert path.swaps == (0, 3)
     assert_path_matches_direct_probing(pset, path)
     assert path.n_plateaus == dense_grid_plateaus(pset, path)
     # the block is tied at its own beta: discordant with neither endpoint

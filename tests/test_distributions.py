@@ -318,7 +318,7 @@ def test_adapted_beta():
 
 
 def test_golden_section_min():
-    assert golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 1e-9) == pytest.approx(
+    assert golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0) == pytest.approx(
         2.0, abs=1e-6
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from prtradeoff import (
     DegenerateSpreadError,
     Performance,
     PerformanceSet,
+    RankingPath,
     build_path,
     fbeta,
     kendall_distance,
@@ -52,7 +54,7 @@ def test_unanimous_set_gives_single_plateau():
     path = build_path(pset)
     assert path.n_plateaus == 1
     assert path.transition_betas == ()
-    assert path.distances_from_precision == (Fraction(0),)
+    assert path.swaps == (0,)
     assert path.ranking(0).ranks == rank_by_score(pset, RECALL).ranks
 
 
@@ -64,12 +66,8 @@ def test_engineered_three_item_path():
         pytest.approx(math.sqrt(0.2)),
         pytest.approx(math.sqrt(1.7)),
     )
-    assert path.distances_from_precision == (
-        Fraction(0),
-        Fraction(1, 3),
-        Fraction(2, 3),
-    )
-    assert not path.coalesced
+    assert path.swaps == (0, 1, 2)
+    assert not pset.crossings.coalesced
     # cross-check each plateau against direct ranking at an interior beta
     for beta, expect in [(0.1, 0), (1.0, 1), (10.0, 2)]:
         assert rank_by_score(pset, fbeta(beta)).ranks == path.ranking(expect).ranks
@@ -82,14 +80,14 @@ def test_path_endpoints_and_monotone_distances():
         path = build_path(pset)
         assert path.ranking(0).ranks == rank_by_score(pset, PRECISION).ranks
         assert path.ranking(path.n_plateaus - 1).ranks == rank_by_score(pset, RECALL).ranks
-        d = path.distances_from_precision
+        d = path.swaps
+        assert all(type(s) is int for s in d)
         assert all(b > a for a, b in zip(d, d[1:]))
         full = kendall_distance(path.ranking(0), path.ranking(path.n_plateaus - 1))
-        assert float(d[-1]) == pytest.approx(full)
+        assert d[-1] / pset.total_pairs == pytest.approx(full)
         # without coalescing every transition is exactly one adjacent swap
-        if not path.coalesced:
-            total = pset.total_pairs
-            assert d == tuple(Fraction(k, total) for k in range(path.n_plateaus))
+        if not pset.crossings.coalesced:
+            assert d == tuple(range(path.n_plateaus))
 
 
 def test_plateau_count_matches_dense_grid_oracle():
@@ -124,10 +122,10 @@ def test_marker_rankings():
     markers = marker_rankings(path)
     assert markers["f1"].ranks == rank_by_score(pset, fbeta(1.0)).ranks
     assert "sivf" in markers
-    half = path.distances_from_precision[-1] / 2
+    half = Fraction(path.swaps[-1], 2)
     plateaus = [path.ranking(k) for k in range(path.n_plateaus)]
-    d_star = path.distances_from_precision[plateaus.index(markers["optimal"])]
-    assert abs(d_star - half) <= Fraction(1, 2 * pset.total_pairs)
+    s_star = path.swaps[plateaus.index(markers["optimal"])]
+    assert abs(s_star - half) <= Fraction(1, 2)
 
 
 def test_optimal_plateau_is_nearest_to_halfway():
@@ -135,8 +133,8 @@ def test_optimal_plateau_is_nearest_to_halfway():
         pset = random_pset(seed + 70, 9)
         path = build_path(pset)
         k = path.optimal_plateau
-        half = path.distances_from_precision[-1] / 2
-        gaps = [abs(d - half) for d in path.distances_from_precision]
+        half = Fraction(path.swaps[-1], 2)
+        gaps = [abs(s - half) for s in path.swaps]
         assert gaps[k] == min(gaps)
 
 
@@ -199,3 +197,16 @@ def test_rank_trajectories():
     traj2 = rank_trajectories(path2)
     lead = int(np.argmin(traj2[:, 0]))
     assert (traj2[lead] == 1).all()
+
+
+def test_path_holds_one_read_only_copy_of_its_ranks():
+    assert [f.name for f in dataclasses.fields(RankingPath)] == [
+        "pset", "transition_betas", "ranks", "swaps"
+    ]
+    path = build_path(random_pset(65, 10))
+    with pytest.raises(ValueError):
+        path.ranks[0, 0] = 1
+    traj = rank_trajectories(path)
+    assert np.shares_memory(traj, path.ranks)
+    with pytest.raises(ValueError):
+        traj[0, 0] = 1
