@@ -97,7 +97,6 @@ from .tradeoff import (
     geodesic_check,
     heuristic_beta,
     optimal_beta,
-    optimal_interval,
     optimality_decomposition,
 )
 

@@ -200,9 +200,7 @@ def cmd_analyze(args) -> int:
         "beta_star": None
         if report.beta_star_squared is None
         else math.sqrt(report.beta_star_squared),
-        "beta_star_interval": None
-        if report.beta_star_interval is None
-        else list(report.beta_star_interval),
+        "beta_star_interval": report.beta_star_interval,
         "transition_count": len(report.transition_thetas),
         "degenerate_pairs": report.degenerate_pairs,
         "unanimous_pairs": report.unanimous_pairs,
@@ -220,7 +218,7 @@ def cmd_analyze(args) -> int:
     tables = {
         "transitions": (
             ("index", "theta", "beta"),
-            [(i, t, math.sqrt(t)) for i, t in enumerate(report.transition_thetas)],
+            [(i, t, math.sqrt(t)) for i, t in enumerate(report.transition_thetas.tolist())],
         ),
         "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations),
         "frechet_variance": (("beta", "variance"), report.frechet_curve),

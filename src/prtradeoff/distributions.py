@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranking import _SideCounts
-from .scores import Performance, ScoreFunction, TIE_TOL, score_values
+from .scores import Performance, ScoreFunction, TIE_TOL, roc_to_parts, score_values
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
@@ -113,13 +113,6 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return _generator(seed, (block + 1) << 128)
 
 
-def _roc_to_parts(fpr: np.ndarray, tpr: np.ndarray, prior_pos: float) -> np.ndarray:
-    q = 1.0 - prior_pos
-    return np.stack(
-        [q * (1.0 - fpr), q * fpr, prior_pos * (1.0 - tpr), prior_pos * tpr], axis=1
-    )
-
-
 def _redraw_below_diagonal(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
     """pi4's rejection step, in place: redraw (x, y) wherever y < x."""
     bad = y < x
@@ -158,8 +151,7 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
     tpr = rng.uniform(0.0, 1.0, n)
     if fam == "pi4":
         _redraw_below_diagonal(rng, fpr, tpr)
-        return _roc_to_parts(fpr, tpr, p)
-    if fam == "pi5":
+    elif fam == "pi5":
         fpr, tpr = _near_oracle_roc(fpr, tpr, p)
         # strict fpr < prior < tpr: float rounding can touch the edges
         bad = (fpr >= p) | (tpr <= p)
@@ -168,8 +160,7 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
             u, v = rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k)
             fpr[bad], tpr[bad] = _near_oracle_roc(u, v, p)
             bad = (fpr >= p) | (tpr <= p)
-        return _roc_to_parts(fpr, tpr, p)
-    return _roc_to_parts(fpr, tpr, p)
+    return roc_to_parts(fpr, tpr, p)
 
 
 def sample_parts(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
@@ -408,7 +399,10 @@ def f1_equidistance_prior(family: str) -> float:
 def beta_for_offset(offset: float, prior_pos: float) -> tuple[float, float]:
     """(beta^2, recall weight b) of the F-score with the given vertex offset at the given prior."""
     p = _check_prior_pos(prior_pos)
-    beta_squared = float(offset) * (1.0 - p) / p
+    ell = float(offset)
+    if not 0.0 <= ell < math.inf:
+        raise ValueError(f"offset must be finite and >= 0, got {offset!r}")
+    beta_squared = ell * (1.0 - p) / p
     return beta_squared, beta_squared / (1.0 + beta_squared)
 
 

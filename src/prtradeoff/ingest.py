@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from .ranking import PerformanceSet
-from .scores import Performance
+from .scores import Performance, roc_to_parts
 
 
 class IngestError(ValueError):
@@ -93,6 +95,7 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
 
         labels: list[str] | None = [] if label_idx is not None else None
         items: list[Performance] = []
+        roc: list[tuple[float, float]] = []  # (fpr, tpr) per row of a ROC-form file
         file_prior: float | None = None
 
         for row_no, row in enumerate(reader, start=2):
@@ -132,9 +135,10 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
                 raise ParseError("ROC-form file needs a prior_pos column or argument", row_no)
             if not 0.0 < p < 1.0:
                 raise ParseError(f"prior_pos must be in (0, 1), got {p}", row_no)
-            q = 1.0 - p
-            items.append(Performance(q * (1.0 - fpr), q * fpr, p * (1.0 - tpr), p * tpr))
+            roc.append((fpr, tpr))
 
+    if roc:  # one prior for every row: the file's, else the argument
+        items = [Performance(*row) for row in roc_to_parts(*np.array(roc).T, p)]
     if not items:
         raise ParseError("no data rows")
     if file_prior is not None and prior_pos is not None and file_prior != prior_pos:

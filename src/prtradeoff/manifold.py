@@ -11,13 +11,12 @@ usual picture of that curve.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ranking import PerformanceSet, Ranking, rank_by_score
-from .scores import SIVF, TIE_TOL, UndefinedScoreError
+from .ranking import PerformanceSet, Ranking, _check_betas, beta_grid, rank_by_score
+from .scores import SIVF, UndefinedScoreError
 
 
 class DegenerateSpreadError(ValueError):
@@ -57,9 +56,10 @@ class RankingPath:
         hi = self.transition_betas[k] if k < len(self.transition_betas) else math.inf
         return lo, hi
 
-    def plateau_of(self, beta: float) -> int:
-        """Index of the plateau containing the given beta."""
-        return bisect_left(self.transition_betas, float(beta))
+    def plateau_of(self, beta):
+        """Index of the plateau containing the given beta; an array of betas gives an array."""
+        k = np.searchsorted(self.transition_betas, _check_betas(beta), "left")
+        return int(k) if k.ndim == 0 else k
 
     @property
     def optimal_plateau(self) -> int:
@@ -72,31 +72,25 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     """Enumerate every ranking induced by the F-score family on the set.
 
     Requires a tie-free set (distinct precision values and distinct
-    recall values).  The first plateau is precision itself.  Crossings
-    within TIE_TOL of the first one of their group form one transition,
-    at which every pair of the group swaps from its precision order to its
-    recall order: per swap, the rank of the item that was ahead grows by
-    one and the other's shrinks by one.  Each plateau's distance from
-    precision is the number of swaps so far, and the last plateau is
-    checked against recall.  The rankings and crossings are the set's
-    cached ones; the rank matrix is returned read-only.
+    recall values).  The first plateau is precision itself.  At each of
+    the set's ``crossings.transitions`` every pair of the group swaps from
+    its precision order to its recall order: the item that was ahead gains
+    one rank, the other loses one.  A plateau's distance from precision
+    is the number of swaps so far; the last plateau is checked against
+    recall.  The rank matrix is returned read-only.
     """
     r_pr, r_re = pset.endpoint_rankings
     if r_pr.has_ties or r_re.has_ties:
         raise ValueError("set has tied precision or recall values; path is ambiguous")
 
     crossings = pset.crossings
-    first = int(np.searchsorted(crossings.thetas, 0.0, "right"))  # thetas are sorted and >= 0
-    unique: list[float] = []
-    group = np.empty(crossings.n_crossings - first, dtype=np.intp)
-    for g, t in enumerate(crossings.thetas[first:].tolist()):
-        if not unique or t - unique[-1] > TIE_TOL:
-            unique.append(t)
-        group[g] = len(unique)  # the plateau this crossing opens
+    starts = crossings.transitions
+    bounds = np.append(starts, crossings.n_crossings)  # plateau k >= 1 swaps bounds[k-1]:bounds[k]
+    group = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
 
-    ranks = np.zeros((len(unique) + 1, len(pset)), dtype=np.int64)
+    ranks = np.zeros((len(bounds), len(pset)), dtype=np.int64)
     ranks[0] = r_pr.as_array()
-    i, j = crossings.pairs[first:].T
+    i, j = crossings.pairs[bounds[0]:].T
     i_first = ranks[0, i] < ranks[0, j]
     ahead, behind = np.where(i_first, i, j), np.where(i_first, j, i)
     np.add.at(ranks, (group, ahead), 1)
@@ -106,12 +100,11 @@ def build_path(pset: PerformanceSet) -> RankingPath:
         raise RuntimeError("last plateau does not match the recall ranking")
 
     ranks.flags.writeable = False
-    swaps = np.cumsum(np.bincount(group, minlength=len(unique) + 1))
     return RankingPath(
         pset=pset,
-        transition_betas=tuple(math.sqrt(t) for t in unique),
+        transition_betas=tuple(np.sqrt(crossings.thetas[starts]).tolist()),
         ranks=ranks,
-        swaps=tuple(swaps.tolist()),
+        swaps=tuple((bounds - bounds[0]).tolist()),
     )
 
 
@@ -129,10 +122,7 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
     except UndefinedScoreError:
         pass
     b2_star = path.pset.crossings.beta_star_squared
-    if b2_star is None:
-        out["optimal"] = path.ranking(0)
-    else:
-        out["optimal"] = path.ranking(path.plateau_of(math.sqrt(b2_star)))
+    out["optimal"] = path.ranking(path.plateau_of(math.sqrt(b2_star or 0.0)))
     return out
 
 
@@ -177,18 +167,10 @@ def correlations_vs_beta(
     of discordant-pair counts.
     """
     total = path.pset.total_pairs
-    d_pr_re = path.swaps[-1]
-    grid = sorted(
-        set(np.geomspace(grid_span[0], grid_span[1], grid_points))
-        | set(path.transition_betas)
-        | {0.0}
-    )
-    rows = []
-    for b in grid:
-        n1 = path.swaps[path.plateau_of(b)]
-        n2 = d_pr_re - n1
-        rows.append((b, (total - 2 * n1) / total, (total - 2 * n2) / total))
-    return rows
+    grid = beta_grid(grid_points, grid_span, path.transition_betas)
+    n1 = np.array(path.swaps)[path.plateau_of(grid)]
+    tau1, tau2 = ((total - 2 * n) / total for n in (n1, path.swaps[-1] - n1))
+    return list(zip(grid.tolist(), tau1.tolist(), tau2.tolist()))
 
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:

@@ -113,6 +113,7 @@ class CrossingSummary:
 
     Row k of ``pairs`` holds the item indices (i < j) of the pair that
     crosses at ``thetas[k]``.  Both arrays are read-only: a set shares them.
+    The path's plateaus and the optimal tradeoff are read from them.
     """
 
     thetas: np.ndarray = field(repr=False)  # float64, sorted, >= 0
@@ -125,17 +126,63 @@ class CrossingSummary:
         return len(self.thetas)
 
     @property
+    def beta_star_interval(self) -> tuple[float, float] | None:
+        """The two middle crossings: the beta^2 range minimizing the Frechet variance, or None."""
+        m = self.n_crossings
+        return (float(self.thetas[(m - 1) // 2]), float(self.thetas[m // 2])) if m else None
+
+    @property
     def beta_star_squared(self) -> float | None:
-        """The median crossing value, or None when there is no crossing."""
+        """The median crossing value (as ``np.median`` gives it), or None when there is no crossing."""
         if not self.n_crossings:
             return None
-        return float(np.median(self.thetas))
+        lo, hi = self.beta_star_interval
+        return lo if self.n_crossings % 2 else (lo + hi) / 2
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """Read-only indices into ``thetas`` of the crossings that open a plateau.
+
+        A positive crossing joins the current group, one transition of the
+        ranking, when it lies within TIE_TOL of the group's first crossing.
+        Only crossings within TIE_TOL of their predecessor need that test.
+        """
+        first = int(np.searchsorted(self.thetas, 0.0, "right"))  # thetas are sorted and >= 0
+        ts = self.thetas[first:]
+        opens = np.ones(len(ts), dtype=bool)
+        opens[1:] = np.diff(ts) > TIE_TOL
+        close = np.flatnonzero(~opens)
+        head, last = 0.0, -2
+        for k, t, before in zip(close.tolist(), ts[close].tolist(), ts[close - 1].tolist()):
+            if k - 1 != last:  # the crossing before k opened a group
+                head = before
+            if t - head > TIE_TOL:
+                opens[k] = True
+                head = t
+            last = k
+        out = np.flatnonzero(opens) + first
+        out.flags.writeable = False
+        return out
 
     @property
     def coalesced(self) -> bool:
-        """Whether two positive crossings lie within TIE_TOL of each other."""
-        ts = self.thetas[self.thetas > 0]
-        return bool((np.diff(ts) <= TIE_TOL).any())
+        """Whether some transition groups several positive crossings."""
+        starts = self.transitions
+        return bool(len(starts)) and len(starts) < self.n_crossings - int(starts[0])
+
+
+def beta_grid(grid_points: int, grid_span: tuple[float, float], extra) -> np.ndarray:
+    """Sorted distinct betas of ``np.geomspace(*grid_span, grid_points)``, 0 and ``extra``."""
+    return np.unique(np.concatenate([np.geomspace(*grid_span, grid_points), [0.0], extra]))
+
+
+def _check_betas(betas) -> np.ndarray:
+    """The betas as a float array; ValueError unless each is >= 0 (NaN is not)."""
+    b = np.asarray(betas, dtype=float)
+    bad = np.flatnonzero(~(b >= 0))
+    if bad.size:
+        raise ValueError(f"beta must be >= 0, got {b.reshape(-1)[bad[0]]!r}")
+    return b
 
 
 def pair_crossings(pset: PerformanceSet) -> CrossingSummary:

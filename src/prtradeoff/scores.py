@@ -77,6 +77,12 @@ class Performance:
         return np.array([self.ptn, self.pfp, self.pfn, self.ptp])
 
 
+def roc_to_parts(fpr, tpr, prior_pos: float) -> np.ndarray:
+    """(..., 4) performances (ptn, pfp, pfn, ptp) of ROC points at a positive-class prior."""
+    q = 1.0 - prior_pos
+    return np.stack([q * (1.0 - fpr), q * fpr, prior_pos * (1.0 - tpr), prior_pos * tpr], axis=-1)
+
+
 @dataclass(frozen=True)
 class ScoreFunction:
     """Identifier (plus parameter) of a score usable for ranking.

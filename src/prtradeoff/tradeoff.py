@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import _BAND, PerformanceSet, _SideCounts, discordance, pair_crossings, rank_by_score
+from .ranking import _BAND, PerformanceSet, _check_betas, _SideCounts, beta_grid, discordance
+from .ranking import pair_crossings, rank_by_score
 from .ranking import CrossingSummary  # noqa: F401  (importable from here too)
 from .scores import (
     F1,
@@ -55,33 +56,17 @@ def crossing_beta_squared(p1: Performance, p2: Performance) -> float | None:
     return float(summary.thetas[0]) if summary.n_crossings else None
 
 
-def optimal_beta(pset: PerformanceSet) -> tuple[float | None, list[float]]:
-    """Median crossing value (the optimal beta^2) and the sorted crossing list.
+def optimal_beta(pset: PerformanceSet) -> tuple[float | None, np.ndarray]:
+    """Median crossing value (the optimal beta^2) and the sorted crossings.
 
-    Returns (None, []) when precision and recall already agree on every
-    pair, in which case every beta is optimal.  Degenerate pairs are
-    excluded from the median pool; their count is available through
-    ``pset.crossings``.
+    The crossings are the set's own read-only array
+    (``pset.crossings.thetas``), not a copy.  Returns None and an empty
+    array when precision and recall already agree on every pair, in which
+    case every beta is optimal.  Degenerate pairs are excluded from the
+    median pool; their count is available through ``pset.crossings``.
     """
     summary = pset.crossings
-    return summary.beta_star_squared, summary.thetas.tolist()
-
-
-def optimal_interval(thetas) -> tuple[float, float] | None:
-    """The beta^2 range on which the Frechet variance attains its minimum.
-
-    For an odd number of crossings this degenerates to the median point;
-    for an even number it is the open span between the two middle values
-    (any beta^2 strictly inside induces the midpoint ranking).
-    """
-    ts = sorted(thetas)
-    m = len(ts)
-    if m == 0:
-        return None
-    if m % 2 == 1:
-        mid = ts[m // 2]
-        return (mid, mid)
-    return (ts[m // 2 - 1], ts[m // 2])
+    return summary.beta_star_squared, summary.thetas
 
 
 def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -115,10 +100,7 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     or whose tie slack does not fit twice in the band are irregular: they
     are compared directly at every probe.
     """
-    betas = np.asarray(betas, dtype=float)
-    bad = np.flatnonzero(~(betas >= 0))
-    if bad.size:
-        raise ValueError(f"beta must be >= 0, got {betas[bad[0]]!r}")
+    betas = _check_betas(betas)
     with np.errstate(over="ignore"):
         b2 = betas * betas
     # a finite beta whose square overflows leaves every F-score undefined
@@ -170,23 +152,12 @@ def frechet_curve(
     The transitions and the counts come from the set's cached crossings.
     """
     if betas is None:
-        bs = set(np.geomspace(grid_span[0], grid_span[1], grid_points))
-        bs.add(0.0)
         thetas = pset.crossings.thetas
-        roots = np.sqrt(thetas[thetas > 0]).tolist()
-        bs.update(roots)
-        bs.update(math.sqrt(a * b) for a, b in zip(roots, roots[1:]))
-        if roots:
-            bs.add(2.0 * roots[-1])
-        betas = sorted(bs)
-    total = pset.total_pairs
-    d_pr, d_re = _side_counts(pset, betas)
-    out = []
-    for b, n1, n2 in zip(betas, d_pr.tolist(), d_re.tolist()):
-        d1 = n1 / total
-        d2 = n2 / total
-        out.append((float(b), d1 * d1 + d2 * d2))
-    return out
+        roots = np.sqrt(thetas[thetas > 0])
+        mids = np.sqrt(roots[:-1] * roots[1:])
+        betas = beta_grid(grid_points, grid_span, np.concatenate([roots, mids, 2.0 * roots[-1:]]))
+    d1, d2 = (d / pset.total_pairs for d in _side_counts(pset, betas))
+    return list(zip(np.asarray(betas, dtype=float).tolist(), (d1 * d1 + d2 * d2).tolist()))
 
 
 def geodesic_check(pset: PerformanceSet, betas) -> list[int]:
@@ -294,7 +265,7 @@ class TradeoffReport:
     discordant_pr_re: int
     beta_star_squared: float | None
     beta_star_interval: tuple[float, float] | None
-    transition_thetas: tuple[float, ...]
+    transition_thetas: np.ndarray = field(compare=False, repr=False)  # pset.crossings.thetas
     degenerate_pairs: int
     unanimous_pairs: int
     coalesced: bool
@@ -321,8 +292,6 @@ def analyze_set(
     summary = pset.crossings
     b2_star = summary.beta_star_squared
     d_pr_re, total, breakdown = _breakdowns(pset, b2_star)
-    thetas = tuple(summary.thetas.tolist())
-    interval = optimal_interval(thetas)
 
     try:
         heur: float | None = heuristic_beta(pset)
@@ -349,8 +318,8 @@ def analyze_set(
         tau_pr_re=1.0 - 2.0 * d_pr_re / total,
         discordant_pr_re=d_pr_re,
         beta_star_squared=b2_star,
-        beta_star_interval=interval,
-        transition_thetas=thetas,
+        beta_star_interval=summary.beta_star_interval,
+        transition_thetas=summary.thetas,
         degenerate_pairs=summary.degenerate_pairs,
         unanimous_pairs=summary.unanimous_pairs,
         coalesced=summary.coalesced,

@@ -317,6 +317,13 @@ def test_adapted_beta():
         beta_for_offset(1.0, 0.0)
 
 
+def test_beta_for_offset_rejects_negative_and_non_finite_offsets():
+    assert beta_for_offset(0.0, 0.3) == (0.0, 0.0)  # precision
+    for offset in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="offset must be finite and >= 0"):
+            beta_for_offset(offset, 0.3)
+
+
 def test_golden_section_min():
     assert golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0) == pytest.approx(
         2.0, abs=1e-6

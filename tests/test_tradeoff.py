@@ -26,7 +26,6 @@ from prtradeoff import (
     heuristic_beta,
     kendall_tau,
     optimal_beta,
-    optimal_interval,
     optimality_decomposition,
     pair_crossings,
     rank_by_score,
@@ -109,7 +108,7 @@ def test_optimal_beta_single_crossing():
     )
     b2, thetas = optimal_beta(pset)
     assert b2 == pytest.approx(1.0)
-    assert thetas == [pytest.approx(1.0)]
+    assert thetas == pytest.approx(np.array([1.0]))
     # the balanced score sits in the argmin plateau of a brute-force grid
     grid = [v for _, v in frechet_curve(pset, betas=np.geomspace(1e-4, 1e4, 500))]
     assert frechet_variance(pset, math.sqrt(b2)) <= min(grid) + 1e-15
@@ -128,8 +127,8 @@ def test_optimal_beta_unanimous_set():
     assert kendall_tau(rank_by_score(pset, PRECISION), rank_by_score(pset, RECALL)) == 1.0
     b2, thetas = optimal_beta(pset)
     assert b2 is None
-    assert thetas == []
-    assert optimal_interval(thetas) is None
+    assert thetas.shape == (0,)
+    assert pset.crossings.beta_star_interval is None
 
 
 def test_optimal_beta_matches_grid_search_oracle():
@@ -149,7 +148,7 @@ def test_optimal_beta_matches_grid_search_oracle():
 def test_optimal_interval_brackets_the_median():
     pset = random_pset(5, 12)
     b2, thetas = optimal_beta(pset)
-    lo, hi = optimal_interval(thetas)
+    lo, hi = pset.crossings.beta_star_interval
     assert lo <= b2 <= hi
     if len(thetas) % 2 == 1:
         assert lo == hi == b2
@@ -388,11 +387,12 @@ def test_a_set_shares_one_read_only_crossing_summary():
         pair_crossings(pset).thetas[0] = 1.0
     with pytest.raises(ValueError):
         summary.pairs[0, 0] = 0
-    # the public values built from it keep their Python types
+    # optimal_beta and the report read the crossings in place
     b2, thetas = optimal_beta(pset)
-    assert thetas == summary.thetas.tolist()
-    assert all(type(t) is float for t in thetas)
+    assert np.array_equal(thetas, summary.thetas)
+    assert np.shares_memory(thetas, pset.crossings.thetas)
+    assert not thetas.flags.writeable
     assert type(b2) is float
     report = analyze_set(pset)
-    assert report.transition_thetas == tuple(thetas)
-    assert all(type(t) is float for t in report.transition_thetas)
+    assert report.transition_thetas is summary.thetas
+    assert report.beta_star_interval == summary.beta_star_interval
