@@ -79,7 +79,10 @@ def _out_dir(path) -> Path:
 
 
 def _csv_prefix(*fields) -> str:
-    """The fields as the start of a row in ``_write_csv``'s dialect, ending with a comma."""
+    """The fields as the start of a row in ``_write_csv``'s dialect, ending with a comma.
+
+    Used for item labels, which may need quoting.
+    """
     buf = io.StringIO()
     csv.writer(buf).writerow((*fields, ""))
     return buf.getvalue()[: -len("\r\n")]
@@ -135,28 +138,34 @@ def _pca_table(path) -> tuple[list[str], list[tuple]]:
 
 
 def _write_manifold_files(out: Path, path, pca, comments) -> None:
-    labels = _item_labels(path.pset)
-
+    # Each plateau's cells "k,beta_low,beta_high," are formatted once, as
+    # csv.writer would: str() of each bound, a Python float, the last one inf.
+    # plateaus.csv reduces each distance with gcd; int / int is correctly
+    # rounded, so s / total is float(Fraction(s, total)).
+    # rank_trajectories.csv has n_items x n_plateaus rows.  It is written one
+    # item at a time, and each of the item's runs of constant rank is one join.
+    bounds = ["0.0", *map(str, path.transition_betas), "inf"]
+    cells = [f"{k},{lo},{hi}," for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     total = path.pset.total_pairs
-    rows = (
-        (k, *path.plateau_bounds(k), _frac(d), float(d))
-        for k, d in enumerate(Fraction(s, total) for s in path.swaps)
-    )
-    _write_csv(
-        out / "plateaus.csv",
-        comments,
-        ("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision"),
-        rows,
-    )
+    with open(out / "plateaus.csv", "w", newline="") as fh:
+        header = ("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision")
+        _write_csv_head(fh, comments, header)
+        rows = []
+        for cell, s in zip(cells, path.swaps):
+            g = math.gcd(s, total)
+            rows.append(f"{cell}{s // g}/{total // g},{s / total}\r\n")
+        fh.write("".join(rows))
 
-    # n_items x n_plateaus rows: format each plateau's cells and each label once,
-    # and convert one item's ranks at a time
-    cells = [_csv_prefix(k, *path.plateau_bounds(k)) for k in range(path.n_plateaus)]
     with open(out / "rank_trajectories.csv", "w", newline="") as fh:
         _write_csv_head(fh, comments, ("item", "plateau", "beta_low", "beta_high", "rank"))
-        for label, ranks in zip(labels, rank_trajectories(path)):
+        for label, ranks in zip(_item_labels(path.pset), rank_trajectories(path)):
             prefix = _csv_prefix(label)
-            fh.write("".join([f"{prefix}{cell}{r}\r\n" for cell, r in zip(cells, ranks.tolist())]))
+            starts = [0, *(np.flatnonzero(np.diff(ranks)) + 1).tolist()]
+            parts = []
+            for a, b, rank in zip(starts, [*starts[1:], len(cells)], ranks[starts].tolist()):
+                tail = f"{rank}\r\n"
+                parts.append(prefix + (tail + prefix).join(cells[a:b]) + tail)
+            fh.write("".join(parts))
 
     extra, rows = pca
     _write_csv(out / "pca.csv", [*comments, *extra], ("kind", "label", "pc1", "pc2"), rows)

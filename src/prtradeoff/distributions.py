@@ -114,13 +114,16 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
 
 
 def _redraw_below_diagonal(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
-    """pi4's rejection step, in place: redraw (x, y) wherever y < x."""
-    bad = y < x
-    while bad.any():
-        k = int(bad.sum())
-        x[bad] = rng.uniform(0.0, 1.0, k)
-        y[bad] = rng.uniform(0.0, 1.0, k)
-        bad = y < x
+    """pi4's rejection step, in place: redraw (x, y) wherever y < x.
+
+    Each round scans only the points it redrew.  Their indices stay
+    ascending, so the draws land where a full-mask assignment puts them.
+    """
+    idx = np.flatnonzero(y < x)
+    while idx.size:
+        x[idx] = rng.uniform(0.0, 1.0, idx.size)
+        y[idx] = rng.uniform(0.0, 1.0, idx.size)
+        idx = idx[y[idx] < x[idx]]
 
 
 def _near_oracle_roc(u, v, prior_pos):

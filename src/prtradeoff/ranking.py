@@ -10,6 +10,7 @@ convention used throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -172,7 +173,13 @@ class CrossingSummary:
 
 
 def beta_grid(grid_points: int, grid_span: tuple[float, float], extra) -> np.ndarray:
-    """Sorted distinct betas of ``np.geomspace(*grid_span, grid_points)``, 0 and ``extra``."""
+    """Sorted distinct betas of ``np.geomspace(*grid_span, grid_points)``, 0 and ``extra``.
+
+    ValueError unless ``0 < grid_span[0] <= grid_span[1] < inf``.
+    """
+    lo, hi = grid_span
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"grid span must satisfy 0 < min <= max < inf, got {grid_span!r}")
     return np.unique(np.concatenate([np.geomspace(*grid_span, grid_points), [0.0], extra]))
 
 

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,6 +133,20 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "span",
+    [("--grid-min", "0"), ("--grid-min", "-1"), ("--grid-max", "inf"), ("--grid-min", "nan"), ("--grid-max", "nan")],
+    ids=["min-zero", "min-negative", "max-inf", "min-nan", "max-nan"],
+)
+def test_bad_grid_span_exits_2_and_writes_nothing(tmp_path, capsys, span):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["analyze", "--input", str(FIXTURE), *span, "--out", str(out)]) == 2
+    assert "grid span must satisfy 0 < min <= max < inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["pi3", "pi4"])
 def test_failing_sweep_writes_nothing(tmp_path, family):
     # the analytic tables need no pairs; the Monte Carlo ones reject 0 pairs
@@ -168,6 +185,82 @@ def test_manifold_reads_the_path_in_place(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.75 * nbytes
+
+
+def _reference_manifold_csvs(path, comment_line):
+    """plateaus.csv and rank_trajectories.csv as csv.writer writes them, one row at a time."""
+    pset = path.pset
+    labels = pset.labels or [f"item_{i:03d}" for i in range(len(pset))]
+    plateaus, trajectories = io.StringIO(newline=""), io.StringIO(newline="")
+    for buf in (plateaus, trajectories):
+        buf.write(comment_line)
+    writer = csv.writer(plateaus)
+    writer.writerow(("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision"))
+    for k, s in enumerate(path.swaps):
+        d = Fraction(s, pset.total_pairs)
+        writer.writerow((k, *path.plateau_bounds(k), f"{d.numerator}/{d.denominator}", float(d)))
+    writer = csv.writer(trajectories)
+    writer.writerow(("item", "plateau", "beta_low", "beta_high", "rank"))
+    for i, label in enumerate(labels):
+        for k in range(path.n_plateaus):
+            writer.writerow((label, k, *path.plateau_bounds(k), int(path.ranks[k, i])))
+    return {"plateaus.csv": plateaus.getvalue(), "rank_trajectories.csv": trajectories.getvalue()}
+
+
+QUOTED_LABELS = ["plain", "with, comma", 'say "hi"', 'both, "x"', "two\nlines"]
+
+
+def _roc_csv(csv_path, fpr, tpr, labels=None):
+    header, columns = ("fpr", "tpr"), [fpr.tolist(), tpr.tolist()]
+    if labels is not None:
+        header, columns = ("label", *header), [labels, *columns]
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _ranks_return(path):
+    """Whether some item leaves a rank and later comes back to it."""
+    for row in path.ranks.T.tolist():
+        runs = [r for k, r in enumerate(row) if k == 0 or r != row[k - 1]]
+        if len(set(runs)) < len(runs):
+            return True
+    return False
+
+
+def _assert_manifold_matches_reference(tmp_path, csv_path):
+    out = tmp_path / "out"
+    assert cli.main(["manifold", "--input", str(csv_path), "--prior", "0.4", "--out", str(out)]) == 0
+    path = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.4))
+    comment_line = (out / "plateaus.csv").read_text().split("\n", 1)[0] + "\n"
+    assert comment_line.startswith("# config=")
+    for name, text in _reference_manifold_csvs(path, comment_line).items():
+        assert (out / name).read_bytes() == text.encode(), name
+    return path
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_manifold_files_match_a_row_by_row_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = (2, 5, 12, 30, 45, 60)[seed]
+    fpr, tpr = rng.uniform(size=(2, n))
+    labels = [QUOTED_LABELS[i] if i < len(QUOTED_LABELS) else f"m{i}" for i in rng.permutation(n)]
+    csv_path = tmp_path / "set.csv"
+    # odd seeds have no label column: the CLI names the items itself
+    _roc_csv(csv_path, fpr, tpr, None if seed % 2 else labels)
+    path = _assert_manifold_matches_reference(tmp_path, csv_path)
+    if n >= 30:
+        assert _ranks_return(path)
+
+
+def test_manifold_files_match_a_row_by_row_writer_without_crossings(tmp_path):
+    # every score ranks the items alike: one plateau from beta 0 to inf
+    tpr = np.linspace(0.2, 0.8, 5)
+    csv_path = tmp_path / "unanimous.csv"
+    _roc_csv(csv_path, tpr / (2.0 + tpr), tpr, QUOTED_LABELS)
+    path = _assert_manifold_matches_reference(tmp_path, csv_path)
+    assert path.n_plateaus == 1
 
 
 def _count_calls(monkeypatch, name):

@@ -104,6 +104,32 @@ def test_sample_matches_sample_parts():
         sample(spec, 9, 0)
 
 
+def _redraw_below_diagonal_full_scan(rng, x, y):
+    """The rejection loop that rescans the whole array each round: the oracle."""
+    bad = y < x
+    while bad.any():
+        k = int(bad.sum())
+        x[bad] = rng.uniform(0.0, 1.0, k)
+        y[bad] = rng.uniform(0.0, 1.0, k)
+        bad = y < x
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_redraw_below_diagonal_matches_the_full_scan(seed):
+    n = 1 + 997 * seed  # includes a single point
+    runs = []
+    for redraw in (dist._redraw_below_diagonal, _redraw_below_diagonal_full_scan):
+        rng = np.random.default_rng(seed)
+        x, y = rng.uniform(size=(2, n))
+        redraw(rng, x, y)
+        runs.append((x, y, rng.uniform(size=3)))  # the generator's state after the loop
+    (x, y, after), (x0, y0, after0) = runs
+    assert np.all(y >= x)
+    np.testing.assert_array_equal(x, x0)
+    np.testing.assert_array_equal(y, y0)
+    np.testing.assert_array_equal(after, after0)
+
+
 def test_mc_tau_is_bit_reproducible():
     spec = uniform_spec()
     a = mc_kendall_tau(spec, PRECISION, RECALL, 70000, 123)

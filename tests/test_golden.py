@@ -1,4 +1,4 @@
-"""Golden outputs of ``analyze`` on two frozen inputs, of ``manifold`` on one, and of ``table1`` and ``sweep``.
+"""Golden outputs of ``analyze`` on three frozen inputs, of ``manifold`` on one, and of ``table1`` and ``sweep``.
 
 The ``analyze`` hashes and their compressed ``pca.csv`` files under
 ``data/golden`` were produced by the implementation that probed every
@@ -13,7 +13,11 @@ of pi3 by the implementation whose CLI built the study tables itself,
 before they moved into ``prtradeoff.studies``.  The ``manifold`` hashes
 and ``roc120_manifold_pca.csv.gz`` were produced by the implementation
 that recomputed a set's crossings and endpoint rankings on every use,
-before the set cached them.  The ``analyze`` and ``manifold`` runs use a
+before the set cached them.  The ``coalesced14.csv`` hashes and
+``coalesced14_pca.csv.gz`` were produced by the implementation that
+wrote ``rank_trajectories.csv`` one row per (item, plateau) and formed a
+``Fraction`` for each ``plateaus.csv`` row, before those files were
+written run by run.  The ``analyze`` and ``manifold`` runs use a
 relative ``--input`` from inside ``tests/data``, because the input path
 is part of the config hash that every output carries.  ``pca.csv`` goes
 through an eigendecomposition whose last bits depend on the
@@ -31,6 +35,7 @@ import numpy as np
 import pytest
 
 from prtradeoff import cli
+from prtradeoff.ingest import ingest
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,7 +59,24 @@ GOLDEN = {
         "plateaus.csv": "b15206b0ea070e0419e2b839fd8eb3f71a9dcf48fac42940cee3d55b74980a5e",
         "rank_trajectories.csv": "5859d03ace4b9b23d1979cc3589eba3fa75482eb544b8b2f6117b33e56411842",
     },
+    # 14 labelled count rows, two labels CSV-quoted; five items share F_1, so ten
+    # crossings coalesce into one transition at beta = 1
+    ("coalesced14.csv", ()): {
+        "report.json": "1c64a938405c011f788c422f1f1d58b676e7c8ff28fbe257350b903ef3a5db02",
+        "transitions.csv": "123dfe4b88f97ea171fa16d913eec5b4e5face7ec92655793cd77d0d125a5ad4",
+        "correlations_vs_beta.csv": "9afbee245733ab12850269e3fb767860b07d787d607b8ea79c366703bdc07f98",
+        "frechet_variance.csv": "86a4b8003abba59e259cb0fba265bf7b9d75e738aa90166d5ecfde134142b43f",
+        "optimality.csv": "350c891c4098d5f2a5d598cbb26f9d3e35b34958ed56918faf17148a57039943",
+        "plateaus.csv": "bdb6d0ea1c470f41a6507a62c24f940b993d84893745c3681ebee158c8c74c26",
+        "rank_trajectories.csv": "663908c76385b20aab39e001754463ba357f7ea0efeab94743bc7644658fdac3",
+    },
 }
+
+
+def test_coalesced_fixture_coalesces_and_quotes_labels():
+    pset = ingest(DATA / "coalesced14.csv")
+    assert pset.crossings.coalesced
+    assert {"baseline, v1", 'the "tuned" model'} <= set(pset.labels)
 
 
 def _pca_table(text):

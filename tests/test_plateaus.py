@@ -255,5 +255,13 @@ def test_plateau_of_rejects_nan_and_negative_betas():
 
 def test_correlations_reject_a_nan_grid():
     path = build_path(ingest(DATA / "nearoracle57.csv"))
-    with pytest.raises(ValueError, match="beta must be >= 0"):
+    with pytest.raises(ValueError, match="grid span must satisfy 0 < min <= max < inf"):
         correlations_vs_beta(path, 5, (math.nan, 1.0))
+
+
+@pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0), (1e-3, math.inf), (math.nan, 1.0), (1.0, math.nan), (2.0, 1.0)])
+def test_both_grids_reject_a_span_outside_the_positive_reals(span):
+    path = build_path(ingest(DATA / "nearoracle57.csv"))
+    for probe in (lambda: frechet_curve(path.pset, None, 5, span), lambda: correlations_vs_beta(path, 5, span)):
+        with pytest.raises(ValueError, match="grid span must satisfy 0 < min <= max < inf"):
+            probe()
