@@ -21,11 +21,11 @@ from prtradeoff import (
     optimal_beta,
     rank_by_score,
     kendall_distance,
-    sample,
+    sample_parts,
 )
 
 # sixty classifiers at a fixed 5% positive prior (uniform ROC points)
-pset = PerformanceSet(tuple(sample(fixed_priors_spec(0.05), seed=7, count=60)))
+pset = PerformanceSet.from_parts(sample_parts(fixed_priors_spec(0.05), seed=7, count=60))
 
 # the shortest-path identity holds exactly, for every beta
 residuals = geodesic_check(pset, [0.05, 0.3, 1.0, 3.0, 20.0])

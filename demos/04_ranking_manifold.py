@@ -15,11 +15,11 @@ from prtradeoff import (
     marker_rankings,
     pca_project,
     rank_trajectories,
-    sample,
+    sample_parts,
 )
 
-pset = PerformanceSet(
-    tuple(sample(fixed_priors_spec(0.1), seed=11, count=12)),
+pset = PerformanceSet.from_parts(
+    sample_parts(fixed_priors_spec(0.1), seed=11, count=12),
     labels=tuple(f"clf{i:02d}" for i in range(12)),
 )
 path = build_path(pset)

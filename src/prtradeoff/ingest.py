@@ -14,12 +14,13 @@ the item label.  Unrecognized extra columns are ignored.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .ranking import PerformanceSet
-from .scores import Performance, roc_to_parts
+from .scores import roc_to_parts
 
 
 class IngestError(ValueError):
@@ -94,7 +95,7 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
         label_idx = 0 if header[0] not in (*fields, _PRIOR_FIELD) else None
 
         labels: list[str] | None = [] if label_idx is not None else None
-        items: list[Performance] = []
+        counts: list[list[float]] = []  # cell values per row of a count-form file
         roc: list[tuple[float, float]] = []  # (fpr, tpr) per row of a ROC-form file
         file_prior: float | None = None
 
@@ -110,12 +111,15 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
                 vals = [_parse_float(row[idx[f]], row_no, f) for f in _COUNT_FIELDS]
                 if any(v < 0 for v in vals):
                     raise NegativeCountError(f"negative cell in {vals}", row_no)
-                if sum(vals) == 0:
+                total = sum(vals)
+                if total == 0:
                     raise ZeroTotalError("all four cells are zero", row_no)
-                try:
-                    items.append(Performance(*vals))
-                except ValueError as exc:
-                    raise ParseError(str(exc), row_no) from None
+                if not math.isfinite(total):  # a NaN or infinite cell, or an overflowed sum
+                    bad = [v for v in vals if not math.isfinite(v)]
+                    if bad:
+                        raise ParseError(f"non-finite cell value {bad[0]!r}", row_no)
+                    raise ParseError("normalization failed to reach the simplex", row_no)
+                counts.append(vals)
                 continue
 
             fpr = _parse_float(row[idx["fpr"]], row_no, "fpr")
@@ -137,12 +141,12 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
                 raise ParseError(f"prior_pos must be in (0, 1), got {p}", row_no)
             roc.append((fpr, tpr))
 
-    if roc:  # one prior for every row: the file's, else the argument
-        items = [Performance(*row) for row in roc_to_parts(*np.array(roc).T, p)]
-    if not items:
+    if not counts and not roc:
         raise ParseError("no data rows")
     if file_prior is not None and prior_pos is not None and file_prior != prior_pos:
         raise MixedPriorsError(
             f"prior_pos argument {prior_pos} conflicts with file value {file_prior}"
         )
-    return PerformanceSet(tuple(items), tuple(labels) if labels else None)
+    # one prior for every ROC row: the file's, else the argument
+    parts = counts if counts else roc_to_parts(*np.array(roc).T, p)
+    return PerformanceSet.from_parts(parts, tuple(labels) if labels else None)

@@ -20,9 +20,9 @@ from .scores import (
     PRECISION,
     RECALL,
     TIE_TOL,
-    Performance,
     ScoreFunction,
     UndefinedScoreError,
+    normalize_parts,
     score_values,
 )
 
@@ -31,40 +31,44 @@ class LengthMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerformanceSet:
-    """An ordered, immutable collection of performances (index = identity).
+    """An ordered, immutable set of performances (index = identity).
 
-    What is derived from the whole set is computed on first use and cached.
+    The set is one read-only (n, 4) float64 array ``parts`` of (ptn, pfp,
+    pfn, ptp) rows.  Built from ``Performance`` objects, it stacks their
+    values, which are normalized already; built from an array (see
+    ``from_parts``), it normalizes the rows with ``normalize_parts``.
+    Equality is identity.  What is derived from the whole set is computed
+    on first use and cached.
     """
 
-    items: tuple[Performance, ...]
+    parts: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
+        if isinstance(self.parts, np.ndarray):
+            parts = normalize_parts(self.parts)
+        else:
+            parts = np.array([(p.ptn, p.pfp, p.pfn, p.ptp) for p in self.parts], dtype=float)
+        if not len(parts):
             raise ValueError("empty performance set")
-        object.__setattr__(self, "items", items)
+        parts.setflags(write=False)
+        object.__setattr__(self, "parts", parts)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(items):
+            if len(labels) != len(parts):
                 raise LengthMismatchError(
-                    f"{len(labels)} labels for {len(items)} items"
+                    f"{len(labels)} labels for {len(parts)} items"
                 )
             object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    @cached_property
-    def parts(self) -> np.ndarray:
-        """(n, 4) array of (ptn, pfp, pfn, ptp) rows."""
-        return np.array([p.as_array() for p in self.items])
+        return len(self.parts)
 
     @property
     def total_pairs(self) -> int:
-        n = len(self.items)
+        n = len(self.parts)
         return n * (n - 1) // 2
 
     @cached_property
@@ -78,8 +82,9 @@ class PerformanceSet:
         return rank_by_score(self, PRECISION), rank_by_score(self, RECALL)
 
     @classmethod
-    def from_parts(cls, parts: np.ndarray, labels=None) -> "PerformanceSet":
-        return cls(tuple(Performance(*row) for row in np.asarray(parts)), labels)
+    def from_parts(cls, parts, labels=None) -> "PerformanceSet":
+        """The set of the rows of an (n, 4) array of cell values, each normalized by its total."""
+        return cls(np.asarray(parts, dtype=float), labels)
 
 
 @dataclass(frozen=True)

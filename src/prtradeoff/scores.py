@@ -32,6 +32,39 @@ class UndefinedScoreError(ValueError):
         super().__init__(f"score {kind!r} is undefined for item {index}")
 
 
+def normalize_parts(rows) -> np.ndarray:
+    """Rows of nonnegative cell values divided by their totals: a new (n, 4) float64 array.
+
+    Each total is ``((a + b) + c) + d``, the order of Python's ``sum`` over
+    the four cells, so a row normalizes here bit for bit as ``Performance``
+    normalizes it.  Raises ValueError for a shape other than (n, 4) and,
+    for the first bad row, on its first non-finite or negative cell (in
+    cell order), on a zero total, or when the normalized row misses the
+    simplex (an overflowed total).
+    """
+    parts = np.asarray(rows, dtype=float)
+    if parts.ndim != 2 or parts.shape[1] != 4:
+        raise ValueError(f"expected an (n, 4) array of cell values, got shape {parts.shape}")
+    a, b, c, d = parts.T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = ((a + b) + c) + d
+        out = parts / total[:, None]
+        a, b, c, d = out.T
+        # NaN or infinite cells and zero or overflowed totals all miss the simplex
+        bad = ~(np.abs(((a + b) + c) + d - 1.0) <= _SIMPLEX_TOL) | (parts < 0).any(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        for v in parts[r].tolist():
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite cell value {v!r}")
+            if v < 0:
+                raise ValueError(f"negative cell value {v!r}")
+        if total[r] == 0:
+            raise ValueError("all four cells are zero")
+        raise ValueError("normalization failed to reach the simplex")
+    return out
+
+
 @dataclass(frozen=True)
 class Performance:
     """A normalized two-class confusion matrix.
@@ -39,7 +72,8 @@ class Performance:
     The constructor accepts any nonnegative cell values (raw counts or
     probabilities) and normalizes them by their total, so
     ``Performance(90, 5, 3, 2)`` and ``Performance(0.9, 0.05, 0.03, 0.02)``
-    denote the same point.
+    denote the same point.  It is the one-row case of ``normalize_parts``,
+    which validates and divides the cells.
     """
 
     ptn: float
@@ -48,22 +82,9 @@ class Performance:
     ptp: float
 
     def __post_init__(self):
-        vals = (float(self.ptn), float(self.pfp), float(self.pfn), float(self.ptp))
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite cell value {v!r}")
-            if v < 0:
-                raise ValueError(f"negative cell value {v!r}")
-        total = sum(vals)
-        if total == 0:
-            raise ValueError("all four cells are zero")
-        vals = tuple(v / total for v in vals)
-        if abs(sum(vals) - 1.0) > _SIMPLEX_TOL:
-            raise ValueError("normalization failed to reach the simplex")
-        object.__setattr__(self, "ptn", vals[0])
-        object.__setattr__(self, "pfp", vals[1])
-        object.__setattr__(self, "pfn", vals[2])
-        object.__setattr__(self, "ptp", vals[3])
+        vals = normalize_parts([(self.ptn, self.pfp, self.pfn, self.ptp)])[0].tolist()
+        for name, v in zip(("ptn", "pfp", "pfn", "ptp"), vals):
+            object.__setattr__(self, name, v)
 
     @property
     def prior_neg(self) -> float:

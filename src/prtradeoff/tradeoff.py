@@ -19,7 +19,6 @@ import numpy as np
 
 from .ranking import _BAND, PerformanceSet, _check_betas, _SideCounts, beta_grid, discordance
 from .ranking import pair_crossings, rank_by_score
-from .ranking import CrossingSummary  # noqa: F401  (importable from here too)
 from .scores import (
     F1,
     PRECISION,
@@ -287,7 +286,8 @@ def analyze_set(
     The optimality map always covers the balanced F-score, the
     skew-insensitive F-score and the error-mass heuristic (candidates
     whose score is undefined somewhere on the set are skipped and listed
-    with the reason); ``extra_betas`` adds user-chosen F-scores.
+    with the reason); ``extra_betas`` adds user-chosen F-scores, keyed by
+    their labels.  Two different betas with one label raise ValueError.
     """
     summary = pset.crossings
     b2_star = summary.beta_star_squared
@@ -302,7 +302,12 @@ def analyze_set(
     if heur is not None:
         candidates["heuristic"] = fbeta(heur)
     for b in extra_betas:
-        candidates[fbeta(b).label()] = fbeta(b)
+        cand = fbeta(b)
+        known = candidates.setdefault(cand.label(), cand)
+        if known != cand:  # the map is keyed by label: neither beta may be lost
+            raise ValueError(
+                f"betas {known.beta!r} and {cand.beta!r} share the label {cand.label()!r}"
+            )
 
     optimality: dict[str, OptimalityBreakdown] = {}
     skipped: dict[str, str] = {}

@@ -38,7 +38,7 @@ from prtradeoff import (
     optimal_vertex_offset,
     rank_by_score,
     ranks_from_values,
-    sample,
+    sample_parts,
     sivf_equidistance_prior_near_oracle,
     uniform_spec,
 )
@@ -52,7 +52,7 @@ def _criterion(num, ok, desc):
 
 
 def _pset(spec, seed, n):
-    return PerformanceSet(tuple(sample(spec, seed, n)))
+    return PerformanceSet.from_parts(sample_parts(spec, seed, n))
 
 
 def test_acceptance_01_geodesic_identity():
@@ -277,7 +277,7 @@ def test_acceptance_10_property_suites_standalone(tmp_path):
     fixture = tmp_path / "roc.csv"
     pset = _pset(fixed_priors_spec(0.2), 10_006, 30)
     rows = ["tn,fp,fn,tp"] + [
-        ",".join(repr(float(v)) for v in p.as_array()) for p in pset.items
+        ",".join(repr(v) for v in row) for row in pset.parts.tolist()
     ]
     fixture.write_text("\n".join(rows) + "\n")
     outs = []

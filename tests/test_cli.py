@@ -147,6 +147,18 @@ def test_bad_grid_span_exits_2_and_writes_nothing(tmp_path, capsys, span):
     assert not out.exists()
 
 
+def test_extra_betas_sharing_a_label_exit_2_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(FIXTURE), "--out", str(out)]
+    assert cli.main([*argv, "--beta", "1.0000001", "--beta", "1.0000002"]) == 2
+    assert "share the label 'fbeta(1)'" in capsys.readouterr().err
+    assert not out.exists()
+    # an exact repeat is one candidate
+    assert cli.main([*argv, "--beta", "2", "--beta", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [name for name in report["optimality"] if name.startswith("fbeta")] == ["fbeta(2)"]
+
+
 @pytest.mark.parametrize("family", ["pi3", "pi4"])
 def test_failing_sweep_writes_nothing(tmp_path, family):
     # the analytic tables need no pairs; the Monte Carlo ones reject 0 pairs

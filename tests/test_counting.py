@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from prtradeoff import (
     PRECISION,
     RECALL,
-    Performance,
     PerformanceSet,
     build_path,
     discordance,
@@ -90,7 +89,7 @@ performances = st.lists(st.tuples(cell, cell, cell, cell), min_size=2, max_size=
 
 
 def tie_free(rows):
-    pset = PerformanceSet(tuple(Performance(*r) for r in rows))
+    pset = PerformanceSet.from_parts(rows)
     assume(not rank_by_score(pset, PRECISION).has_ties)
     assume(not rank_by_score(pset, RECALL).has_ties)
     return pset
@@ -128,7 +127,7 @@ tied_performances = st.lists(st.tuples(grid_cell, grid_cell, grid_cell, grid_cel
 def test_counting_on_sets_with_ties_matches_direct_reranking(rows):
     # precision and recall must be defined; ties and degenerate pairs are welcome
     assume(all(fp + tp > 0 and fn + tp > 0 for _, fp, fn, tp in rows))
-    pset = PerformanceSet(tuple(Performance(*r) for r in rows))
+    pset = PerformanceSet.from_parts(rows)
     for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3]):
         assert v == direct_variance(pset, b)
     for t in [0.0, *pair_crossings(pset).thetas]:
@@ -139,7 +138,7 @@ def test_counting_on_sets_with_ties_matches_direct_reranking(rows):
 def roc_pset(points, prior=0.5):
     q = 1.0 - prior
     parts = [(q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points]
-    return PerformanceSet(tuple(Performance(*row) for row in parts))
+    return PerformanceSet.from_parts(parts)
 
 
 def test_two_disjoint_pairs_crossing_at_the_same_theta():

@@ -25,5 +25,7 @@ def test_demo_runs(demo, tmp_path):
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         "TMPDIR": str(tmp_path),
     }
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    # the suite's in-process warning rule, applied to the child interpreter
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-X", "dev", str(demo)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

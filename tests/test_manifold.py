@@ -19,7 +19,7 @@ from prtradeoff import (
     pca_project,
     rank_by_score,
     rank_trajectories,
-    sample,
+    sample_parts,
     spearman_distance,
     uniform_spec,
     fixed_priors_spec,
@@ -31,11 +31,11 @@ def roc_pset(points, prior=0.5):
     parts = [
         (q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points
     ]
-    return PerformanceSet(tuple(Performance(*row) for row in parts))
+    return PerformanceSet.from_parts(parts)
 
 
 def random_pset(seed, n):
-    return PerformanceSet(tuple(sample(uniform_spec(), seed, n)))
+    return PerformanceSet.from_parts(sample_parts(uniform_spec(), seed, n))
 
 
 def engineered_three_item_pset():
@@ -167,7 +167,7 @@ def test_pca_identical_rankings_map_together():
 
 
 def test_pca_explains_fixed_prior_manifold():
-    pset = PerformanceSet(tuple(sample(fixed_priors_spec(0.1), 64, 60)))
+    pset = PerformanceSet.from_parts(sample_parts(fixed_priors_spec(0.1), 64, 60))
     path = build_path(pset)
     _, explained = pca_project(path, marker_rankings(path))
     assert explained[0] + explained[1] >= 0.90

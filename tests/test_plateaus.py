@@ -28,7 +28,7 @@ from prtradeoff import (
     correlations_vs_beta,
     frechet_curve,
     ingest,
-    sample,
+    sample_parts,
     uniform_spec,
 )
 from prtradeoff.ranking import beta_grid
@@ -132,7 +132,7 @@ def test_the_optimum_is_the_two_middle_crossings_read_in_place(values):
 def test_the_path_groups_its_swaps_like_the_sequential_loop(seed, n, base, data):
     # a real tie-free set whose crossing values are replaced by a clustered
     # array, so that build_path groups the set's own swaps by them
-    pset = PerformanceSet(tuple(sample(uniform_spec(), seed, n)))
+    pset = PerformanceSet.from_parts(sample_parts(uniform_spec(), seed, n))
     try:
         build_path(pset)
     except ValueError:

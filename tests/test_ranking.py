@@ -33,7 +33,7 @@ def pset_with_precision(values):
 
 def random_pset(rng, n):
     parts = sample_parts(uniform_spec(), int(rng.integers(2**32)), n)
-    return PerformanceSet(tuple(Performance(*row) for row in parts))
+    return PerformanceSet.from_parts(parts)
 
 
 def bubble_swap_count(r1, r2):
@@ -165,3 +165,12 @@ def test_performance_set_basics():
         PerformanceSet(())
     roundtrip = PerformanceSet.from_parts(pset.parts, pset.labels)
     assert roundtrip.parts == pytest.approx(pset.parts)
+    assert not pset.parts.flags.writeable and not roundtrip.parts.flags.writeable
+    with pytest.raises(ValueError):
+        pset.parts[0, 0] = 1.0
+    assert roundtrip != pset and roundtrip == roundtrip  # equality is identity
+    for shape in ((3, 3), (4,)):
+        with pytest.raises(ValueError, match="expected an"):
+            PerformanceSet.from_parts(np.ones(shape))
+    with pytest.raises(ValueError, match="empty performance set"):
+        PerformanceSet.from_parts(np.ones((0, 4)))

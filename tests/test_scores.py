@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtradeoff import (
     F1,
@@ -14,14 +16,22 @@ from prtradeoff import (
     TNR,
     ImportanceWeights,
     Performance,
+    PerformanceSet,
     ScoreFunction,
+    above_no_skill_spec,
     evaluate,
     fbeta,
     fbeta_importance,
+    fixed_priors_spec,
+    fixed_tn_spec,
+    near_oracle_spec,
     pencil_vertex_offset,
     ranking_score,
+    sample,
+    sample_parts,
     score_values,
     sivf_importance,
+    uniform_spec,
 )
 
 
@@ -260,3 +270,79 @@ def test_tnr_fpr_complement():
         p = random_performance(rng)
         if p.prior_neg > 0:
             assert abs(evaluate(TNR, p) + evaluate(FPR, p) - 1.0) <= 1e-12
+
+
+def normalized_oracle(row):
+    """Each cell over ((a + b) + c) + d: the order of Python's sum over the four cells."""
+    a, b, c, d = (float(v) for v in row)
+    total = ((a + b) + c) + d
+    return tuple(v / total for v in (a, b, c, d))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+_cells = {
+    "counts": st.integers(0, 10**9),
+    "unit": st.floats(0.0, 1.0),
+    "subnormal": st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+    "mixed": st.one_of(
+        st.integers(0, 10**9), st.floats(0.0, 1.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e300)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_cells))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_normalization_is_bit_exact_against_python_sum_order(kind, data):
+    row = st.tuples(*[_cells[kind]] * 4).filter(lambda r: sum(r) > 0)
+    rows = data.draw(st.lists(row, min_size=1, max_size=20))
+    expected = [normalized_oracle(r) for r in rows]
+    assert bits(PerformanceSet.from_parts(rows).parts) == bits(expected)
+    for r, e in zip(rows, expected):
+        p = Performance(*r)
+        assert bits((p.ptn, p.pfp, p.pfn, p.ptp)) == bits(e)
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((nan, 1, 1, 1), "non-finite cell value nan"),
+        ((1, -inf, 1, 1), "non-finite cell value -inf"),
+        ((1, 1, 1, inf), "non-finite cell value inf"),
+        ((1, -1, nan, 1), "negative cell value -1.0"),
+        ((nan, -1, 1, 1), "non-finite cell value nan"),
+        ((0, 0, 0, 0), "all four cells are zero"),
+        ((1e308, 1e308, 0, 0), "normalization failed to reach the simplex"),
+    ],
+)
+def test_bad_cells_raise_the_first_problem_of_the_first_bad_row(row, message):
+    with pytest.raises(ValueError) as err:
+        Performance(*row)
+    assert str(err.value) == message
+    # a later bad row does not mask it
+    with pytest.raises(ValueError) as err:
+        PerformanceSet.from_parts([(1, 2, 3, 4), row, (-2, 1, 1, 1)])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        uniform_spec(),
+        fixed_tn_spec(0.3),
+        fixed_priors_spec(0.2),
+        above_no_skill_spec(0.4),
+        near_oracle_spec(0.3),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_a_sampled_set_holds_exactly_the_sampled_performances(spec):
+    stacked = [(p.ptn, p.pfp, p.pfn, p.ptp) for p in sample(spec, 5, 500)]
+    assert bits(PerformanceSet.from_parts(sample_parts(spec, 5, 500)).parts) == bits(stacked)
+    assert bits(PerformanceSet(tuple(sample(spec, 5, 500))).parts) == bits(stacked)

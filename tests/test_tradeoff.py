@@ -29,13 +29,14 @@ from prtradeoff import (
     optimality_decomposition,
     pair_crossings,
     rank_by_score,
-    sample,
+    sample_parts,
+    score_values,
     uniform_spec,
 )
 
 
 def random_pset(seed, n, spec=None):
-    return PerformanceSet(tuple(sample(spec or uniform_spec(), seed, n)))
+    return PerformanceSet.from_parts(sample_parts(spec or uniform_spec(), seed, n))
 
 
 def exact_crossing(p1, p2):
@@ -229,10 +230,10 @@ def pair_classification_oracle(pset, candidate, beta_star_squared):
     falls into the optimal-choice bucket, matching the package's tie
     convention.
     """
-    v_pr = [evaluate(PRECISION, p) for p in pset.items]
-    v_re = [evaluate(RECALL, p) for p in pset.items]
-    v_cand = [evaluate(candidate, p) for p in pset.items]
-    v_star = [evaluate(fbeta(math.sqrt(beta_star_squared)), p) for p in pset.items]
+    v_pr = score_values(PRECISION, pset.parts).tolist()
+    v_re = score_values(RECALL, pset.parts).tolist()
+    v_cand = score_values(candidate, pset.parts).tolist()
+    v_star = score_values(fbeta(math.sqrt(beta_star_squared)), pset.parts).tolist()
     n = len(pset)
     agree = optimal = not_optimal = 0
     for i, j in combinations(range(n), 2):
@@ -283,7 +284,7 @@ def test_decomposition_vacuous_on_unanimous_set():
 
 
 def test_f1_is_suboptimal_at_extreme_priors():
-    pset = PerformanceSet(tuple(sample(fixed_priors_spec(0.9), 0, 60)))
+    pset = PerformanceSet.from_parts(sample_parts(fixed_priors_spec(0.9), 0, 60))
     b2, _ = optimal_beta(pset)
     got = optimality_decomposition(pset, F1, b2)
     assert got.p_not_optimal > 0
@@ -346,6 +347,14 @@ def test_analyze_set_report_consistency():
     for breakdown in report.optimality.values():
         assert breakdown.p_agree + breakdown.p_optimal + breakdown.p_not_optimal == 1
     assert report.equidistance_gap <= Fraction(1, 190)
+
+
+def test_analyze_set_keeps_every_extra_beta_or_raises():
+    pset = random_pset(36, 20)
+    report = analyze_set(pset, extra_betas=(2.0, 2.0))
+    assert [name for name in report.optimality if name.startswith("fbeta")] == ["fbeta(2)"]
+    with pytest.raises(ValueError, match="share the label 'fbeta\\(1\\)'"):
+        analyze_set(pset, extra_betas=(1.0000001, 1.0000002))
 
 
 def test_analyze_set_ranks_each_candidate_and_the_optimum_once(monkeypatch):
