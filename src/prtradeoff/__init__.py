@@ -17,6 +17,7 @@ from .distributions import (
     analytic_tau_fixed_priors,
     analytic_tau_pr_re_near_oracle,
     beta_for_offset,
+    brent_root,
     f1_equidistance_prior,
     fixed_priors_spec,
     fixed_tn_spec,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .scores import Performance, ScoreFunction, TIE_TOL, roc_to_parts, score_val
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # pairs per Monte Carlo block, and per block of the pi5 searches
 _MAX_REDRAW_ROUNDS = 60
 _REDRAW_FRACTION = 0.01
 
@@ -174,6 +175,11 @@ def sample_parts(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
 
 
 def sample(spec: DistributionSpec, seed: int, count: int) -> list[Performance]:
+    """``count`` draws as ``Performance`` objects: the per-object route.
+
+    Each object normalizes its own row: some 20-25 us a row.  For arrays,
+    use ``sample_parts`` and ``PerformanceSet.from_parts``.
+    """
     return [Performance(*row) for row in sample_parts(spec, seed, count)]
 
 
@@ -353,6 +359,62 @@ def golden_section_min(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b], by Brent's method (Brent 1973, ch. 4, "zeroin").
+
+    A line-for-line port of SciPy's ``brentq.c`` with its default relative
+    tolerance 4 eps and 100 iterations: it evaluates f at the same points
+    and returns the same float as ``scipy.optimize.brentq(f, a, b,
+    xtol=xtol)``.  ValueError when f(a) and f(b) have the same sign,
+    RuntimeError when 100 iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * sys.float_info.epsilon * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C an infinite or NaN step, which the test below rejects
+                stry = math.inf
+            # C's MIN(x, y) is x < y ? x : y, which differs from min() at NaN
+            shortest = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < shortest:  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
+
+
 _ANALYTIC_TAU = {
     "pi3": analytic_tau_fixed_priors,
     "pi4": analytic_tau_above_no_skill,
@@ -391,12 +453,9 @@ def f1_equidistance_prior(family: str) -> float:
         off = p / (1.0 - p)  # the balanced F-score's vertex offset at this prior
         return tau("pr", off) - tau("re", off)
 
-    # imported here: loading scipy.optimize costs more than the rest of the package's import
-    from scipy.optimize import brentq
-
     # bracket kept well inside (0, 1): the closed forms cancel badly for
     # extreme vertex offsets, and the root is near 1/3 for both families
-    return float(brentq(gap, 1e-3, 1.0 - 1e-3, xtol=1e-10))
+    return brent_root(gap, 1e-3, 1.0 - 1e-3, xtol=1e-10)
 
 
 def beta_for_offset(offset: float, prior_pos: float) -> tuple[float, float]:
@@ -483,10 +542,14 @@ def _tau(discordant, n_pairs: int) -> float:
 
 
 def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
-    """(tau(Pr, F), tau(F, Re)) under pi5, on frozen uniform draws."""
+    """(tau(Pr, F), tau(F, Re)) under pi5 on frozen uniform draws, counted ``_BLOCK`` pairs at a time."""
     n = len(uniforms[0])
-    points = _near_oracle_points(uniforms, prior_pos)
-    a, b = (np.count_nonzero(side) for side in _discordant(points, offset))
+    a = b = 0
+    for first in range(0, n, _BLOCK):
+        points = _near_oracle_points(tuple(u[first:first + _BLOCK] for u in uniforms), prior_pos)
+        in_a, in_b = _discordant(points, offset)
+        a += np.count_nonzero(in_a)
+        b += np.count_nonzero(in_b)
     return _tau(a, n), _tau(b, n)
 
 
@@ -501,24 +564,28 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
     Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
     once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
     above it in A.  The sample median of these crossings equalizes the
-    sides, which is the median theorem at the level of pairs.
+    sides, which is the median theorem at the level of pairs.  The
+    breakpoints are built ``_BLOCK`` pairs at a time.
     """
-    points = _near_oracle_points(uniforms, prior_pos)
-    x1, y1, x2, y2 = points
-    slope = y1 - y2
-    irregular = np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
-    live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
-    ell = (y2[live] * x1[live] - y1[live] * x2[live]) / slope[live]
-    live = live.astype(np.int32)
-    del slope
-    passed = ell <= 0
-    start = np.stack([passed, ~passed]).astype(np.int8)
-    jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
+
+    def block(first):
+        window = slice(first, first + _BLOCK)
+        x1, y1, x2, y2 = _near_oracle_points(tuple(u[window] for u in uniforms), prior_pos)
+        slope = y1 - y2
+        irregular = first + np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
+        live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
+        ell = (y2[live] * x1[live] - y1[live] * x2[live]) / slope[live]
+        passed = ell <= 0
+        start = np.stack([passed, ~passed]).astype(np.int8)
+        jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
+        return irregular, (first + live).astype(np.int32), start, [(ell, jumps)]
 
     def direct(probes, k, ids):
-        return _discordant(tuple(v[ids] for v in points), probes[k])
+        points = _near_oracle_points(tuple(u[ids] for u in uniforms), prior_pos)
+        return _discordant(points, probes[k])
 
-    return _SideCounts(direct, irregular, live, start, [(ell, jumps)], lo, hi)
+    # each block's temporaries are freed before the next block is built
+    return _SideCounts(direct, map(block, range(0, len(uniforms[0]), _BLOCK)), lo, hi)
 
 
 def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
@@ -532,54 +599,52 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
     g < 0 at every root of h and h > 0 at the root of g, so each root's
     jump follows from the sign of a - b alone, and the roots come in the
     order r1 < r2 < root of g when a - b > 0, and the reverse when not.
+    The breakpoints are built ``_BLOCK`` pairs at a time.
     """
-    ids = np.flatnonzero(uniforms[1] - uniforms[3] > -_ILL_CONDITIONED).astype(np.int32)
-    ux, uy, vx, vy = (u[ids] for u in uniforms)
-    c = uy - vy
-    b = uy * vx
-    b -= vy * ux
-    lead = vx - ux
-    lead -= b
-    del ux, uy, vx, vy
-    q = b - c
-    disc = q * q
-    disc -= 4.0 * lead * c
-    ill = (
-        (c < _ILL_CONDITIONED)
-        | (np.abs(lead) < _ILL_CONDITIONED)
-        | (np.abs(disc) < _ILL_CONDITIONED)
-    )
-    irregular = ids[ill]
-    lead[ill] = np.nan  # no breakpoints: these pairs are decided directly
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.sqrt(disc)  # NaN without real roots
-        np.copysign(w, q, out=w)
-        w += q
-        w *= -0.5
-        del q, disc
-        r1 = w / lead
-        r2 = np.divide(c, w, out=w)
-        r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
-        g_root = -b / lead
-        up = lead > 0
-    del b, c, lead
-    sign = np.where(up, 1, -1).astype(np.int8)
-    start = np.stack([(g_root > 0) == up, np.zeros_like(up)]).astype(np.int8)
-    start[:, ill] = 0
-    at_g = np.stack([-sign, np.zeros_like(sign)])
-    at_r1 = np.stack([-sign, sign])
-    at_r2 = -at_r1
-    slots = [
-        (np.where(up, r1, g_root), np.where(up, at_r1, at_g)),
-        (np.where(up, r2, r1), np.where(up, at_r2, at_r1)),
-        (np.where(up, g_root, r2), np.where(up, at_g, at_r2)),
-    ]
-    del r1, r2, g_root
+
+    def block(first):
+        window = slice(first, first + _BLOCK)
+        ids = first + np.flatnonzero(uniforms[1][window] - uniforms[3][window] > -_ILL_CONDITIONED)
+        ids = ids.astype(np.int32)
+        ux, uy, vx, vy = (u[ids] for u in uniforms)
+        c = uy - vy
+        b = uy * vx - vy * ux
+        lead = (vx - ux) - b
+        del ux, uy, vx, vy  # the block's temporaries are freed as soon as they are used
+        q = b - c
+        disc = q * q - 4.0 * lead * c
+        ill = (
+            (c < _ILL_CONDITIONED)
+            | (np.abs(lead) < _ILL_CONDITIONED)
+            | (np.abs(disc) < _ILL_CONDITIONED)
+        )
+        lead[ill] = np.nan  # no breakpoints: these pairs are decided directly
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
+            del q, disc
+            r1, r2 = w / lead, c / w
+            r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
+            g_root = -b / lead
+            up = lead > 0
+        del w, b, c, lead
+        sign = np.where(up, 1, -1).astype(np.int8)
+        start = np.stack([(g_root > 0) == up, np.zeros_like(up)]).astype(np.int8)
+        start[:, ill] = 0
+        at_g = np.stack([-sign, np.zeros_like(sign)])
+        at_r1 = np.stack([-sign, sign])
+        at_r2 = -at_r1
+        slots = [
+            (np.where(up, r1, g_root), np.where(up, at_r1, at_g)),
+            (np.where(up, r2, r1), np.where(up, at_r2, at_r1)),
+            (np.where(up, g_root, r2), np.where(up, at_g, at_r2)),
+        ]
+        return ids[ill], ids, start, slots
 
     def direct(probes, k, ids):
         return _discordant(_near_oracle_points(tuple(u[ids] for u in uniforms), probes[k]), 1.0)
 
-    return _SideCounts(direct, irregular, ids, start, slots, lo, hi)
+    # each block's temporaries are freed before the next block is built
+    return _SideCounts(direct, map(block, range(0, len(uniforms[0]), _BLOCK)), lo, hi)
 
 
 def mc_tau_sides_near_oracle(

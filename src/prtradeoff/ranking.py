@@ -289,41 +289,41 @@ class _SideCounts:
     It decides each pair with a breakpoint within ``_BAND (1 + probe)`` of
     a probe, and the ``irregular`` pairs at every probe.
 
-    Each regular pair ``ids[i]`` enters with ``start[:, i]``, its (A, B)
-    below every breakpoint, and with one entry in each of ``slots``, a list
-    of (values, jumps) arrays that this consumes.  Across the slots a
-    pair's values increase, and the (2, m) jumps change (A, B) at them.
-    Probes lie in [lo, hi]: breakpoints above ``hi`` plus the widest band
-    are dropped, and positive ones below ``lo`` minus it are folded into
-    the starting counts.  NaN is no breakpoint, nor is a value <= 0 below
-    that range.
+    The pairs arrive in ``blocks``, an iterable of (irregular, ids, start,
+    slots) tuples, so that a caller can build each block's arrays only
+    while the block is read.  Each regular pair ``ids[i]`` of a block
+    enters with ``start[:, i]``, its (A, B) below every breakpoint, and
+    with one entry in each of ``slots``, a list of (values, jumps) arrays
+    that this consumes; every block has the same number of slots.  Across
+    the slots a pair's values increase, and the (2, m) jumps change (A, B)
+    at them.  Probes lie in [lo, hi]: breakpoints above ``hi`` plus the
+    widest band are dropped, and positive ones below ``lo`` minus it are
+    folded into the starting counts.  NaN is no breakpoint, nor is a value
+    <= 0 below that range.  The kept breakpoints are joined slot by slot,
+    each slot's in block order, so the arrays do not depend on how the
+    pairs are split into blocks.
     """
 
-    def __init__(self, direct, irregular, ids, start, slots: list, lo: float, hi: float):
+    def __init__(self, direct, blocks, lo: float, hi: float):
         self.direct = direct
-        self.irregular = irregular
         left = lo - 2.0 * _BAND * (1.0 + lo)
         right = hi + 2.0 * _BAND * (1.0 + hi)
-        self.base = start.sum(axis=1)
-        state = start
-        kept = []
-        while slots:  # consumed slot by slot, to free each as soon as it is used
-            values, jumps = slots.pop(0)
-            fold = (values > 0) & (values < left)
-            self.base += jumps[:, fold].sum(axis=1)
-            state[:, fold] += jumps[:, fold]
-            k = np.flatnonzero((values >= left) & (values <= right))
-            kept.append((values[k], ids[k], state[:, k], jumps[:, k]))
-            state[:, k] += jumps[:, k]
+        self.base, self.irregular, kept = _fold_and_keep(blocks, left, right)
         values, pairs, before, jumps = (np.concatenate(x, axis=-1) for x in zip(*kept))
         del kept
+        # each array is sorted, then its unsorted copy is freed
         order = np.argsort(values)
         self.values = values[order]
+        del values
         self.pairs = pairs[order]
-        self.n_ids = int(pairs.max()) + 1 if pairs.size else 1
+        del pairs
+        self.n_ids = int(self.pairs.max()) + 1 if self.pairs.size else 1
         self.before = before[:, order].astype(bool)  # (A, B) of the pair just below the breakpoint
-        self.cum = np.zeros((2, len(order) + 1), np.int32)
-        np.cumsum(jumps[:, order], axis=1, out=self.cum[:, 1:])
+        del before
+        jumps = jumps[:, order]
+        del order
+        self.cum = np.zeros((2, jumps.shape[1] + 1), np.int32)
+        np.cumsum(jumps, axis=1, out=self.cum[:, 1:])
 
     def __call__(self, probes) -> np.ndarray:
         """(2, m) counts at an array of m probes; (2,) at a scalar probe."""
@@ -351,6 +351,33 @@ class _SideCounts:
                 k = np.repeat(block, self.irregular.size)
                 counts += _tally(k, self.direct(p, k, np.tile(self.irregular, len(block))), m)
         return counts if at.ndim else counts[:, 0]
+
+
+def _fold_and_keep(blocks, left: float, right: float):
+    """(base, irregular, kept) of ``_SideCounts``' blocks, one block at a time.
+
+    ``base`` counts the starting states plus the jumps folded below
+    ``left``; ``kept`` lists each (values, ids, before, jumps) piece of the
+    breakpoints in [left, right], slot by slot and in block order within a
+    slot.  A function of its own, so that the last block's arrays are
+    freed before the kept pieces are joined.
+    """
+    base = 0
+    irregulars, kept = [], []
+    for irregular, ids, start, slots in blocks:
+        irregulars.append(irregular)
+        base += start.sum(axis=1)
+        state = start
+        kept = kept or [[] for _ in slots]
+        for pieces in kept:  # consumed slot by slot, to free each as soon as it is used
+            values, jumps = slots.pop(0)
+            fold = (values > 0) & (values < left)
+            base += jumps[:, fold].sum(axis=1)
+            state[:, fold] += jumps[:, fold]
+            k = np.flatnonzero((values >= left) & (values <= right))
+            pieces.append((values[k], ids[k], state[:, k], jumps[:, k]))
+            state[:, k] += jumps[:, k]
+    return base, np.concatenate(irregulars), [piece for pieces in kept for piece in pieces]
 
 
 def _tally(k: np.ndarray, flags, m: int) -> np.ndarray:

@@ -125,8 +125,8 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
         s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
         return s_pr[pair] * s_f < 0, s_f * s_re[pair] < 0
 
-    irregular = np.flatnonzero(~regular)
-    counts = _SideCounts(direct, irregular, reg, start, [(theta[reg], jumps)], 0.0, math.inf)
+    block = (np.flatnonzero(~regular), reg, start, [(theta[reg], jumps)])
+    counts = _SideCounts(direct, [block], 0.0, math.inf)
     d_pr, d_re = counts(b2)
     return d_pr, d_re
 

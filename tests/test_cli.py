@@ -125,12 +125,38 @@ def test_input_errors_exit_2(tmp_path):
     assert cli.main(["sweep", "--family", "pi1", "--param", "0.5", "--out", str(out)]) == 2
 
 
-def test_importing_the_cli_loads_no_scipy():
+def test_importing_the_cli_loads_no_scipy(tmp_path):
     proc = _run_python(
         "-c", "import sys, prtradeoff.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+    # with scipy blocked, any import of it raises ImportError: every command still runs
+    argvs = [
+        ["table1", "--pairs", "20000"],
+        ["sweep", "--family", "pi3", "--param", "0.3", "--pairs", "20000"],
+        ["analyze", "--input", str(FIXTURE)],
+        ["manifold", "--input", str(FIXTURE)],
+    ]
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "import prtradeoff",
+            "from prtradeoff import cli",
+            *(
+                f"print('exit', cli.main({argv + ['--out', str(tmp_path / str(k))]!r}))"
+                for k, argv in enumerate(argvs)
+            ),
+            "print('root', prtradeoff.f1_equidistance_prior('pi4').hex())",
+        ]
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    results = [line.split() for line in proc.stdout.splitlines() if line.startswith(("exit ", "root "))]
+    assert results[0][1] in ("0", "3")  # 3: a pinned cell misses its tolerance at 20,000 pairs
+    assert results[1:] == [["exit", "0"]] * 3 + [["root", "0x1.4c4e3f686ef12p-2"]]
 
 
 @pytest.mark.parametrize(

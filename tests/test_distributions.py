@@ -4,6 +4,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from prtradeoff import (
     F1,
@@ -19,6 +22,7 @@ from prtradeoff import (
     analytic_tau_fixed_priors,
     analytic_tau_pr_re_near_oracle,
     beta_for_offset,
+    brent_root,
     f1_equidistance_prior,
     fixed_priors_spec,
     fixed_tn_spec,
@@ -354,6 +358,73 @@ def test_golden_section_min():
     assert golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0) == pytest.approx(
         2.0, abs=1e-6
     )
+
+
+def test_f1_equidistance_prior_is_brentq_to_the_bit(monkeypatch):
+    roots = []
+
+    def both(f, a, b, xtol):
+        roots.append(brentq(f, a, b, xtol=xtol))
+        return brent_root(f, a, b, xtol)
+
+    monkeypatch.setattr(dist, "brent_root", both)
+    for family, want in (("pi3", "0x1.8647176ed564dp-2"), ("pi4", "0x1.4c4e3f686ef12p-2")):
+        assert f1_equidistance_prior(family).hex() == roots[-1].hex() == want, family
+
+
+def _recorded(solver, f, a, b, xtol):
+    """(root as hex, or the exception type; the points at which f was evaluated, as hex)."""
+    seen = []
+
+    def g(x):
+        seen.append(x.hex())
+        return f(x)
+
+    try:
+        out = solver(g, a, b, xtol).hex()
+    except (ValueError, RuntimeError) as exc:
+        out = type(exc)
+    return out, seen
+
+
+def _scipy_brentq(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=st.floats(-20.0, 20.0),
+    width=st.floats(1e-9, 40.0),
+    flip=st.booleans(),
+    where=st.floats(0.0, 1.0),
+    c1=st.floats(0.0, 3.0),
+    c3=st.floats(0.0, 3.0),
+    s=st.floats(-2.0, 2.0),
+    w=st.floats(0.1, 20.0),
+    xtol=st.one_of(st.floats(-15.0, -1.0).map(lambda e: 10.0**e), st.just(1e-300)),
+)
+def test_brent_root_evaluates_where_brentq_does(a, width, flip, where, c1, c3, s, w, xtol):
+    # a cubic through r, linear, flat (c1 = 0) or absent, plus a ripple that
+    # can add roots or remove the sign change
+    b = a + width
+    r = a + where * width
+
+    def f(x):
+        return (x - r) * (c1 + c3 * (x - r) ** 2) + s * math.sin(w * (x - r))
+
+    lo, hi = (b, a) if flip else (a, b)
+    assert _recorded(brent_root, f, lo, hi, xtol) == _recorded(_scipy_brentq, f, lo, hi, xtol)
+
+
+def test_brent_root_edge_cases():
+    for solver in (brent_root, _scipy_brentq):
+        assert solver(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0  # a root at a is a
+        assert solver(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0  # and one at b is b
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        # a jump at 0: only bisection closes in, far too slowly for an xtol of 1e-300
+        with pytest.raises(RuntimeError, match="(?i)failed to converge after 100 iterations"):
+            solver(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, 1e-300)
 
 
 def test_fixed_priors_tau_pr_re_is_half_for_any_prior():

@@ -12,6 +12,7 @@ the same cases nearly, not exactly, degenerate.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,3 +146,52 @@ def test_sides_equal_full_pass():
             a, b = _full_pass_discordant(uniforms, prior, offset)
             want = (float(1.0 - 4.0 * np.mean(a)), float(1.0 - 4.0 * np.mean(b)))
             assert dist.mc_tau_sides_near_oracle(prior, offset, 5000, 8) == want
+
+
+KERNEL_ARRAYS = ("values", "pairs", "before", "cum", "base", "irregular")
+
+
+def _kernels(uniforms):
+    return [dist._prior_counts(uniforms, 0.05, 0.95)] + [
+        dist._offset_counts(uniforms, prior, 1e-4, 100.0) for prior in PRIORS
+    ]
+
+
+def _searches(n, seed):
+    return [dist.sivf_equidistance_prior_near_oracle(n, seed)] + [
+        dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed) for prior in PRIORS
+    ]
+
+
+@pytest.mark.parametrize("draw", [dist._near_oracle_uniforms, _quantized], ids=["uniform", "quantized"])
+@pytest.mark.parametrize(
+    "block, n",
+    [(1, 1500), (1000, 70_000), (1 << 16, 70_000), (70_001, 70_000)],
+    ids=["1", "1000", "2**16", "above-n"],
+)
+def test_building_in_blocks_changes_nothing(draw, block, n, monkeypatch):
+    monkeypatch.setattr(dist, "_near_oracle_uniforms", draw)
+    uniforms = draw(n, 5)
+    monkeypatch.setattr(dist, "_BLOCK", n)
+    whole, whole_results = _kernels(uniforms), _searches(n, 5)
+    monkeypatch.setattr(dist, "_BLOCK", block)
+    for got, want in zip(_kernels(uniforms), whole):
+        for name in KERNEL_ARRAYS:
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert _searches(n, 5) == whole_results
+
+
+def test_prior_search_holds_few_per_pair_temporaries():
+    # The four frozen uniforms are 32 bytes a pair.  At 2 * 10**5 pairs the
+    # search, run first in a fresh process, peaked at 2.32 times their size
+    # when the breakpoints were built from whole-sample temporaries, and at
+    # 1.69 when they are built block by block.
+    n = 2 * 10**5
+    tracemalloc.start()
+    try:
+        dist.sivf_equidistance_prior_near_oracle(n, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 4 * 8 * n
