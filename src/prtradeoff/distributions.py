@@ -13,25 +13,33 @@ Rank correlations between two scores under a family are estimated from
 independent performance pairs: tau = 1 - 4 P[first score decreases while
 the second increases].  Draws come from counter-based substreams of a
 Philox generator in fixed-size blocks, so results are bit-reproducible
-for a given seed no matter how the pair range is partitioned.  The
-blocks of one estimate are drawn and counted concurrently, on as many
-threads as there are CPUs the process may use; each block returns
-integer counts that are summed, so estimates do not depend on the number
-of threads, and nothing sets it.
+for a given seed no matter how the pair range is partitioned.  Each
+block draws its performances as four contiguous outcome columns and
+scores them with ``scores.score_columns``.
+
+Independent pieces of work (the blocks of one estimate, the replicates
+of a study) go through ``_map_concurrently``: the calling thread and one
+process-wide pool, with one thread fewer than the CPUs the process may
+use, take them from a shared queue.  The pool starts with the first map,
+not at import; a map called from inside a piece runs inline.  Each piece
+returns its own result, combined in item order, so every number is the
+same bit for bit whatever the number of threads, and nothing sets it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ranking import _SideCounts
-from .scores import Performance, ScoreFunction, TIE_TOL, roc_to_parts, score_values
+from .scores import Performance, ScoreFunction, TIE_TOL, roc_columns, score_columns
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
@@ -132,24 +140,21 @@ def _near_oracle_roc(u, v, prior_pos):
     return u * prior_pos, prior_pos + v * (1.0 - prior_pos)
 
 
-def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 4) array of performances drawn from the family."""
+def _draw_columns(spec: DistributionSpec, rng: np.random.Generator, n: int) -> tuple:
+    """The (ptn, pfp, pfn, ptp) columns of n performances drawn from the family, each contiguous."""
     fam = spec.family
-    # row sums as explicit column additions: the same order of addition as
-    # e.sum(axis=1), without a reduction over a short axis
-    if fam == "pi1":
-        e = rng.standard_exponential((n, 4))
-        e /= (e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3])[:, None]
-        return e
-    if fam == "pi2":
-        e = rng.standard_exponential((n, 3))
-        total = e[:, 0] + e[:, 1] + e[:, 2]
-        e *= 1.0 - spec.ptn
-        e /= total[:, None]
-        parts = np.empty((n, 4))
-        parts[:, 0] = spec.ptn
-        parts[:, 1:] = e
-        return parts
+    if fam in ("pi1", "pi2"):
+        # the draws fill the rows of e; each row's total adds its cells left
+        # to right, the order of e.sum(axis=1)
+        e = rng.standard_exponential((n, 4 if fam == "pi1" else 3))
+        total = e[:, 0] + e[:, 1]
+        for j in range(2, e.shape[1]):
+            total += e[:, j]
+        if fam == "pi1":
+            return tuple(np.divide(e.T, total, order="C"))
+        cells = np.multiply(e.T, 1.0 - spec.ptn, order="C")
+        cells /= total
+        return (np.full(n, spec.ptn), *cells)
     p = spec.prior_pos
     fpr = rng.uniform(0.0, 1.0, n)
     tpr = rng.uniform(0.0, 1.0, n)
@@ -164,14 +169,14 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
             u, v = rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k)
             fpr[bad], tpr[bad] = _near_oracle_roc(u, v, p)
             bad = (fpr >= p) | (tpr <= p)
-    return roc_to_parts(fpr, tpr, p)
+    return roc_columns(fpr, tpr, p)
 
 
 def sample_parts(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
     """(count, 4) array of draws; deterministic for a given (spec, seed)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _draw(spec, _generator(seed), count)
+    return np.stack(_draw_columns(spec, _generator(seed), count), axis=1)
 
 
 def sample(spec: DistributionSpec, seed: int, count: int) -> list[Performance]:
@@ -207,17 +212,90 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The process's pool, as (threads, pool): started by the first map that
+# needs one, never at import.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+_in_task = threading.local()  # .active while this thread runs a map's items
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` threads.
+
+    A pool of another size, left from when the process could use another
+    number of CPUs, is dropped; its threads exit once no map holds it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="prtradeoff"))
+        return _pool[1]
+
+
+def _map_concurrently(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed by the calling thread and the process's pool.
+
+    The caller and up to ``_usable_cpus() - 1`` pool threads take items
+    from one shared queue, so a slow item holds up no other thread; the
+    results come back in item order.  A map called from inside an item,
+    on any thread, runs inline on that thread, so maps never nest.  Pool
+    threads that have not started when the queue runs empty are cancelled,
+    not waited for: a child forked from a process with a pool has none of
+    its threads, and its caller takes every item.  An item that raises
+    stops the queue; the exception is raised once every started thread
+    has finished its item.
+    """
+    items = list(items)
+    cpus = _usable_cpus()
+    helpers = min(len(items), cpus) - 1
+    if helpers < 1 or getattr(_in_task, "active", False):
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    queue = iter(range(len(items)))
+    queue_lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain() -> None:
+        _in_task.active = True
+        try:
+            while not failed.is_set():
+                with queue_lock:
+                    i = next(queue, None)
+                if i is None:
+                    return
+                results[i] = fn(items[i])
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            _in_task.active = False
+
+    pool = _shared_pool(cpus - 1)
+    others = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a turn that has not started would find the queue empty; waiting for
+        # it would hang a forked child, which has no thread to start it
+        started = [future for future in others if not future.cancel()]
+        wait(started)
+    for future in started:
+        future.result()  # raises a pool thread's exception
+    return results
+
+
 def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> tuple[int, int]:
     """(discordant, redrawn) pairs of one block of ``mc_kendall_tau``, from its own substream."""
     want = min(_BLOCK, n_pairs - block * _BLOCK)
     rng = _block_generator(seed, block)
+
+    def scored(n: int) -> tuple[np.ndarray, np.ndarray]:
+        columns = _draw_columns(spec, rng, n)
+        return score_columns(score1, *columns), score_columns(score2, *columns)
+
     # score each side before drawing the next: less memory held per thread
-    a = _draw(spec, rng, want)
-    v1a, v2a = score_values(score1, a), score_values(score2, a)
-    del a
-    b = _draw(spec, rng, want)
-    v1b, v2b = score_values(score1, b), score_values(score2, b)
-    del b
+    v1a, v2a = scored(want)
+    v1b, v2b = scored(want)
     redrawn = 0
     for _ in range(_MAX_REDRAW_ROUNDS):
         with np.errstate(invalid="ignore"):
@@ -231,9 +309,8 @@ def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> 
             break
         k = int(bad.sum())
         redrawn += k
-        a2, b2 = _draw(spec, rng, k), _draw(spec, rng, k)
-        v1a[bad], v1b[bad] = score_values(score1, a2), score_values(score1, b2)
-        v2a[bad], v2b[bad] = score_values(score2, a2), score_values(score2, b2)
+        v1a[bad], v2a[bad] = scored(k)
+        v1b[bad], v2b[bad] = scored(k)
     else:
         raise RedrawLimitError(
             f"degenerate pairs persist after {_MAX_REDRAW_ROUNDS} redraw rounds"
@@ -254,29 +331,14 @@ def mc_kendall_tau(
     are redrawn inside their block, which keeps ``n_pairs`` exact; those
     events have measure zero for the supported families, so a redraw rate
     above 1% aborts with ``RedrawLimitError``.  Blocks are drawn and
-    counted concurrently, on one thread per usable CPU; their integer
-    counts are summed, so the estimate does not depend on the number of
-    threads.
+    counted concurrently (``_map_concurrently``); their integer counts are
+    summed, so the estimate does not depend on the number of threads.
     """
     _check_n_pairs(n_pairs)
     n_blocks = -(-n_pairs // _BLOCK)
-    workers = min(n_blocks, _usable_cpus())
-
-    def strided_counts(first: int) -> list[tuple[int, int]]:
-        return [
-            _block_counts(spec, score1, score2, n_pairs, seed, block)
-            for block in range(first, n_blocks, workers)
-        ]
-
-    # The calling thread counts every workers-th block from block 0 itself,
-    # so only workers - 1 threads are started: each thread that allocates
-    # keeps an allocator arena of several MB for the rest of the process.
-    # NumPy's Philox filling and ufuncs release the interpreter lock.
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        others = [pool.submit(strided_counts, first) for first in range(1, workers)]
-        per_block = strided_counts(0)
-        for future in others:
-            per_block += future.result()
+    per_block = _map_concurrently(
+        functools.partial(_block_counts, spec, score1, score2, n_pairs, seed), range(n_blocks)
+    )
     discordant = sum(d for d, _ in per_block)
     redrawn = sum(r for _, r in per_block)
     if redrawn > _REDRAW_FRACTION * n_pairs:

@@ -98,10 +98,15 @@ class Performance:
         return np.array([self.ptn, self.pfp, self.pfn, self.ptp])
 
 
+def roc_columns(fpr, tpr, prior_pos: float) -> tuple:
+    """The (ptn, pfp, pfn, ptp) columns of ROC points at a positive-class prior."""
+    q = 1.0 - prior_pos
+    return q * (1.0 - fpr), q * fpr, prior_pos * (1.0 - tpr), prior_pos * tpr
+
+
 def roc_to_parts(fpr, tpr, prior_pos: float) -> np.ndarray:
     """(..., 4) performances (ptn, pfp, pfn, ptp) of ROC points at a positive-class prior."""
-    q = 1.0 - prior_pos
-    return np.stack([q * (1.0 - fpr), q * fpr, prior_pos * (1.0 - tpr), prior_pos * tpr], axis=-1)
+    return np.stack(roc_columns(fpr, tpr, prior_pos), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,25 @@ def evaluate(score: ScoreFunction, p: Performance) -> float | None:
     return None if math.isnan(value) else value
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, NaN elsewhere."""
+    return np.where(den > 0, num / den, np.nan)
+
+
+def _fbeta_columns(fp, fn, tp, beta) -> np.ndarray:
+    """F-scores from the fp, fn and tp columns; ``beta`` is a scalar or one beta per row."""
+    # a Python float keeps the common scalar case on NumPy's scalar fast path
+    beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b2 = beta * beta
+        scaled_tp = (1.0 + b2) * tp
+        out = _ratio(scaled_tp, fp + b2 * fn + scaled_tp)
+        at_inf = np.isinf(beta)
+        if np.any(at_inf):
+            out = np.where(at_inf, _ratio(tp, fn + tp), out)
+    return out
+
+
 def fbeta_values(parts: np.ndarray, beta) -> np.ndarray:
     """F-scores of the rows of an (n, 4) array, each at its own beta.
 
@@ -169,16 +193,37 @@ def fbeta_values(parts: np.ndarray, beta) -> np.ndarray:
     Returns NaN wherever the score is undefined.
     """
     parts = np.asarray(parts, dtype=float)
-    fp, fn, tp = parts[:, 1], parts[:, 2], parts[:, 3]
-    # a Python float keeps the common scalar case on NumPy's scalar fast path
-    beta = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b2 = beta * beta
-        den = fp + b2 * fn + (1.0 + b2) * tp
-        out = np.where(den > 0, (1.0 + b2) * tp / den, np.nan)
-        at_inf = np.isinf(beta)
-        if np.any(at_inf):
-            out = np.where(at_inf, np.where(fn + tp > 0, tp / (fn + tp), np.nan), out)
+    return _fbeta_columns(parts[:, 1], parts[:, 2], parts[:, 3], beta)
+
+
+def score_columns(score: ScoreFunction, tn, fp, fn, tp) -> np.ndarray:
+    """Score values from the four outcome columns (n,) of simplex points.
+
+    The one formula of each score: ``score_values`` passes the columns of
+    an (n, 4) array, the Monte Carlo blocks pass contiguous columns.
+    Returns an (n,) float array with NaN wherever the score is undefined.
+    """
+    kind = score.kind
+    if kind == "fbeta":
+        return _fbeta_columns(fp, fn, tp, score.beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "precision":
+            out = _ratio(tp, fp + tp)
+        elif kind == "recall":
+            out = _ratio(tp, fn + tp)
+        elif kind == "sivf":
+            neg, pos = tn + fp, fn + tp
+            tpr = tp / pos
+            fpr_ = fp / neg
+            out = np.where((neg > 0) & (pos > 0), 2.0 * tpr / (tpr + fpr_ + 1.0), np.nan)
+        elif kind == "fpr":
+            out = _ratio(fp, tn + fp)
+        elif kind == "tnr":
+            out = _ratio(tn, tn + fp)
+        elif kind == "iou":
+            out = _ratio(tp, fp + fn + tp)
+        else:
+            raise AssertionError(kind)
     return out
 
 
@@ -187,31 +232,7 @@ def score_values(score: ScoreFunction, parts: np.ndarray) -> np.ndarray:
 
     Returns an (n,) float array with NaN wherever the score is undefined.
     """
-    parts = np.asarray(parts, dtype=float)
-    tn, fp, fn, tp = parts[:, 0], parts[:, 1], parts[:, 2], parts[:, 3]
-    kind = score.kind
-    if kind == "fbeta":
-        return fbeta_values(parts, score.beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "precision":
-            out = np.where(fp + tp > 0, tp / (fp + tp), np.nan)
-        elif kind == "recall":
-            out = np.where(fn + tp > 0, tp / (fn + tp), np.nan)
-        elif kind == "sivf":
-            neg, pos = tn + fp, fn + tp
-            tpr = tp / pos
-            fpr_ = fp / neg
-            out = np.where((neg > 0) & (pos > 0), 2.0 * tpr / (tpr + fpr_ + 1.0), np.nan)
-        elif kind == "fpr":
-            out = np.where(tn + fp > 0, fp / (tn + fp), np.nan)
-        elif kind == "tnr":
-            out = np.where(tn + fp > 0, tn / (tn + fp), np.nan)
-        elif kind == "iou":
-            den = fp + fn + tp
-            out = np.where(den > 0, tp / den, np.nan)
-        else:
-            raise AssertionError(kind)
-    return out
+    return score_columns(score, *np.asarray(parts, dtype=float).T)
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,13 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert results[1:] == [["exit", "0"]] * 3 + [["root", "0x1.4c4e3f686ef12p-2"]]
 
 
+def test_importing_the_cli_starts_no_thread():
+    # the Monte Carlo pool starts with the first concurrent map, not at import
+    proc = _run_python("-c", "import threading, prtradeoff.cli; print(threading.active_count())")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
 @pytest.mark.parametrize(
     "span",
     [("--grid-min", "0"), ("--grid-min", "-1"), ("--grid-max", "inf"), ("--grid-min", "nan"), ("--grid-max", "nan")],

@@ -1,5 +1,7 @@
 import functools
 import math
+import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -39,7 +41,9 @@ from prtradeoff import (
     uniform_spec,
 )
 from prtradeoff import distributions as dist
+from prtradeoff import fbeta, studies
 from prtradeoff.distributions import FAMILIES
+from prtradeoff.studies import SCORE_PAIRS
 
 OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
 
@@ -171,21 +175,84 @@ def test_redraw_guard_trips_on_constant_score():
         mc_kendall_tau(fixed_tn_spec(0.0), FPR, RECALL, 1000, 0)
 
 
-def _undefined_near_zero_tp(score, parts, real=dist.score_values, below=1e-3):
+def _undefined_near_zero_tp(score, tn, fp, fn, tp, real=dist.score_columns, below=1e-3):
     # about 3 * below of uniform performances; at 1e-3 redrawn, but under the 1% guard
-    values = real(score, parts)
-    values[parts[:, 3] < below] = np.nan
+    values = real(score, tn, fp, fn, tp)
+    values[tp < below] = np.nan
     return values
 
 
 def test_mc_tau_reports_redrawn_pairs(monkeypatch):
     assert mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6).redrawn == 0
-    monkeypatch.setattr(dist, "score_values", _undefined_near_zero_tp)
+    monkeypatch.setattr(dist, "score_columns", _undefined_near_zero_tp)
     est = mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 20000, 6)
     assert 0 < est.redrawn <= 0.01 * est.n_pairs
 
 
-def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed):
+# The oracle below freezes the samplers and score formulas as they were
+# before Monte Carlo blocks were drawn and scored as columns: row-major
+# (n, 4) draws, and scores read from the columns of that array.
+
+
+def _frozen_draw(spec, rng, n):
+    """(n, 4) performances drawn as the row-major samplers drew them."""
+    fam = spec.family
+    if fam == "pi1":
+        e = rng.standard_exponential((n, 4))
+        e /= (e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3])[:, None]
+        return e
+    if fam == "pi2":
+        e = rng.standard_exponential((n, 3))
+        total = e[:, 0] + e[:, 1] + e[:, 2]
+        e *= 1.0 - spec.ptn
+        e /= total[:, None]
+        parts = np.empty((n, 4))
+        parts[:, 0] = spec.ptn
+        parts[:, 1:] = e
+        return parts
+    p = spec.prior_pos
+    fpr = rng.uniform(0.0, 1.0, n)
+    tpr = rng.uniform(0.0, 1.0, n)
+    if fam == "pi4":
+        _redraw_below_diagonal_full_scan(rng, fpr, tpr)
+    elif fam == "pi5":
+        fpr, tpr = fpr * p, p + tpr * (1.0 - p)
+        bad = (fpr >= p) | (tpr <= p)
+        while bad.any():
+            k = int(bad.sum())
+            u, v = rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k)
+            fpr[bad], tpr[bad] = u * p, p + v * (1.0 - p)
+            bad = (fpr >= p) | (tpr <= p)
+    q = 1.0 - p
+    return np.stack([q * (1.0 - fpr), q * fpr, p * (1.0 - tpr), p * tpr], axis=-1)
+
+
+def _frozen_score_values(score, parts):
+    """Row-major score formulas of precision, recall, finite-beta F and SIVF."""
+    tn, fp, fn, tp = parts[:, 0], parts[:, 1], parts[:, 2], parts[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if score.kind == "precision":
+            return np.where(fp + tp > 0, tp / (fp + tp), np.nan)
+        if score.kind == "recall":
+            return np.where(fn + tp > 0, tp / (fn + tp), np.nan)
+        if score.kind == "fbeta":
+            b2 = score.beta * score.beta
+            den = fp + b2 * fn + (1.0 + b2) * tp
+            return np.where(den > 0, (1.0 + b2) * tp / den, np.nan)
+        if score.kind == "sivf":
+            neg, pos = tn + fp, fn + tp
+            tpr, fpr = tp / pos, fp / neg
+            return np.where((neg > 0) & (pos > 0), 2.0 * tpr / (tpr + fpr + 1.0), np.nan)
+    raise AssertionError(score.kind)
+
+
+def _frozen_undefined_near_zero_tp(score, parts, below=1e-3):
+    values = _frozen_score_values(score, parts)
+    values[parts[:, 3] < below] = np.nan
+    return values
+
+
+def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed, scorer=_frozen_score_values):
     """The block loop of mc_kendall_tau as it ran before blocks were counted concurrently."""
     done = 0
     block = 0
@@ -194,10 +261,10 @@ def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed):
     while done < n_pairs:
         want = min(dist._BLOCK, n_pairs - done)
         rng = dist._block_generator(seed, block)
-        a = dist._draw(spec, rng, want)
-        b = dist._draw(spec, rng, want)
-        v1a, v1b = dist.score_values(score1, a), dist.score_values(score1, b)
-        v2a, v2b = dist.score_values(score2, a), dist.score_values(score2, b)
+        a = _frozen_draw(spec, rng, want)
+        b = _frozen_draw(spec, rng, want)
+        v1a, v1b = scorer(score1, a), scorer(score1, b)
+        v2a, v2b = scorer(score2, a), scorer(score2, b)
         for _ in range(dist._MAX_REDRAW_ROUNDS):
             with np.errstate(invalid="ignore"):
                 bad = ~(
@@ -210,9 +277,9 @@ def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed):
                 break
             k = int(bad.sum())
             redrawn += k
-            a2, b2 = dist._draw(spec, rng, k), dist._draw(spec, rng, k)
-            v1a[bad], v1b[bad] = dist.score_values(score1, a2), dist.score_values(score1, b2)
-            v2a[bad], v2b[bad] = dist.score_values(score2, a2), dist.score_values(score2, b2)
+            a2, b2 = _frozen_draw(spec, rng, k), _frozen_draw(spec, rng, k)
+            v1a[bad], v1b[bad] = scorer(score1, a2), scorer(score1, b2)
+            v2a[bad], v2b[bad] = scorer(score2, a2), scorer(score2, b2)
         else:
             raise RedrawLimitError("degenerate pairs persist")
         discordant += int(((v1a < v1b) & (v2a > v2b)).sum())
@@ -225,8 +292,8 @@ def _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed):
     return dist.McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed, redrawn)
 
 
-def _assert_matches_sequential(monkeypatch, spec, score1, score2, n_pairs, seed):
-    want = _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed)
+def _assert_matches_sequential(monkeypatch, spec, score1, score2, n_pairs, seed, **oracle):
+    want = _sequential_mc_kendall_tau(spec, score1, score2, n_pairs, seed, **oracle)
     # one worker, the CPUs this process may use, and more threads than blocks
     for workers in (1, None, 5):
         with monkeypatch.context() as m:
@@ -244,6 +311,15 @@ FAMILY_SPECS = {
     "pi5": near_oracle_spec(0.3),
 }
 
+MATRIX_SPECS = [
+    uniform_spec(),
+    *(fixed_tn_spec(ptn) for ptn in (0.0, 0.3, 0.6)),
+    FAMILY_SPECS["pi3"],
+    FAMILY_SPECS["pi4"],
+    FAMILY_SPECS["pi5"],
+]
+MATRIX_PAIRS = [(s1, s2) for _, _, s1, s2 in SCORE_PAIRS] + [(PRECISION, fbeta(0.5))]
+
 
 @pytest.mark.parametrize("n_pairs", [1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 17])
 @pytest.mark.parametrize("family", FAMILIES)
@@ -251,10 +327,34 @@ def test_concurrent_blocks_match_the_sequential_loop(monkeypatch, family, n_pair
     _assert_matches_sequential(monkeypatch, FAMILY_SPECS[family], PRECISION, F1, n_pairs, 17)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec", MATRIX_SPECS, ids=lambda s: s.label())
+def test_column_draws_and_scores_are_the_row_major_bits(spec, seed):
+    # an estimate only counts comparisons, which a last-bit change rarely flips
+    columns = dist._draw_columns(spec, dist._block_generator(seed, 0), 5000)
+    parts = _frozen_draw(spec, dist._block_generator(seed, 0), 5000)
+    assert all(c.flags.c_contiguous for c in columns)
+    np.testing.assert_array_equal(np.stack(columns, axis=1).view(np.uint64), parts.view(np.uint64))
+    for score in {s for pair in MATRIX_PAIRS for s in pair}:
+        np.testing.assert_array_equal(
+            dist.score_columns(score, *columns).view(np.uint64),
+            _frozen_score_values(score, parts).view(np.uint64),
+            err_msg=score.label(),
+        )
+
+
+@pytest.mark.parametrize("n_pairs", [5000, 2 * (1 << 16) + 17])  # below one block; a partial last block
+@pytest.mark.parametrize("pair", MATRIX_PAIRS, ids=lambda p: f"{p[0].label()}-{p[1].label()}")
+@pytest.mark.parametrize("spec", MATRIX_SPECS, ids=lambda s: s.label())
+def test_column_kernel_matches_the_row_major_loop(monkeypatch, spec, pair, n_pairs):
+    _assert_matches_sequential(monkeypatch, spec, *pair, n_pairs, 23)
+
+
 def test_concurrent_redraws_match_the_sequential_loop(monkeypatch):
-    monkeypatch.setattr(dist, "score_values", _undefined_near_zero_tp)
+    monkeypatch.setattr(dist, "score_columns", _undefined_near_zero_tp)
     est = _assert_matches_sequential(
-        monkeypatch, uniform_spec(), PRECISION, RECALL, 3 * (1 << 16) + 17, 6
+        monkeypatch, uniform_spec(), PRECISION, RECALL, 3 * (1 << 16) + 17, 6,
+        scorer=_frozen_undefined_near_zero_tp,
     )
     assert 0 < est.redrawn <= 0.01 * est.n_pairs
 
@@ -262,18 +362,23 @@ def test_concurrent_redraws_match_the_sequential_loop(monkeypatch):
 def test_redraw_limit_error_surfaces_from_a_worker(monkeypatch):
     monkeypatch.setattr(dist, "_BLOCK", 256)
     monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)
-    real = dist.score_values
+    real = dist.score_columns
+    taken = threading.Event()
 
-    def undefined_off_the_calling_thread(score, parts):
-        values = real(score, parts)
-        if threading.current_thread() is not threading.main_thread():
+    def undefined_off_the_calling_thread(score, *columns):
+        values = real(score, *columns)
+        if threading.current_thread() is threading.main_thread():
+            taken.wait(timeout=30)  # leave a block to a pool thread
+        else:
+            taken.set()
             values[:] = np.nan
         return values
 
     # only the blocks counted by pool threads exhaust their redraw rounds
-    monkeypatch.setattr(dist, "score_values", undefined_off_the_calling_thread)
+    monkeypatch.setattr(dist, "score_columns", undefined_off_the_calling_thread)
     with pytest.raises(RedrawLimitError, match="redraw rounds"):
         mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 1000, 0)
+    assert taken.is_set()
 
 
 def test_redraw_guard_sums_the_blocks_of_all_threads(monkeypatch):
@@ -281,10 +386,80 @@ def test_redraw_guard_sums_the_blocks_of_all_threads(monkeypatch):
     monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)
     # redraws under the limit in every block, above 1% summed over the blocks
     monkeypatch.setattr(
-        dist, "score_values", functools.partial(_undefined_near_zero_tp, below=0.01)
+        dist, "score_columns", functools.partial(_undefined_near_zero_tp, below=0.01)
     )
     with pytest.raises(RedrawLimitError, match="needed redrawing"):
         mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 1000, 0)
+
+
+@pytest.mark.parametrize("cpus", [2, 5, 8])
+def test_map_takes_each_item_once_and_returns_item_order(monkeypatch, cpus):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: cpus)
+    calls = []  # list.append is atomic: a lost or doubled queue update shows in the counts
+
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert dist._map_concurrently(square, range(2000)) == [x * x for x in range(2000)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == list(range(2000))
+    assert dist._map_concurrently(square, []) == []
+
+
+def test_a_map_inside_an_item_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 3)
+
+    def inner(j):
+        return threading.get_ident(), threading.active_count()
+
+    def outer(i):
+        before = threading.active_count()
+        return threading.get_ident(), before, dist._map_concurrently(inner, range(4))
+
+    runs = dist._map_concurrently(outer, range(6))
+    for ident, before, nested in runs:
+        for inner_ident, count in nested:
+            # inline on the item's own thread; a dropped pool's threads may still be leaving
+            assert inner_ident == ident
+            assert count <= before
+
+
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_a_forked_child_estimates_without_the_pool_threads(monkeypatch):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 2)  # a pool on any host
+    want = mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 200_000, 3)
+    assert dist._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 200_000, 3))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    try:
+        assert not proc.is_alive(), "the forked child waited on pool threads it does not have"
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=10)
+    assert proc.exitcode == 0
+    assert receive.poll(timeout=10)
+    assert receive.recv() == want
+
+
+def test_table1_cells_do_not_depend_on_the_cpu_count(monkeypatch):
+    runs = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(dist, "_usable_cpus", lambda c=cpus: c)
+        runs.append(studies.table1_cells(2 * 10**5, 7))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_analytic_sum_identities():
