@@ -197,23 +197,24 @@ def cmd_analyze(args) -> int:
     correlations = correlations_vs_beta(path, args.grid_points, grid_span)
     pca = _pca_table(path)
 
+    crossings = pset.crossings
     payload = {
         "config": config,
         "config_hash": chash,
         "seed": args.seed,
-        "n_items": report.n_items,
-        "total_pairs": report.total_pairs,
+        "n_items": len(pset),
+        "total_pairs": pset.total_pairs,
         "tau_precision_recall": report.tau_pr_re,
         "discordant_precision_recall": report.discordant_pr_re,
-        "beta_star_squared": report.beta_star_squared,
+        "beta_star_squared": crossings.beta_star_squared,
         "beta_star": None
-        if report.beta_star_squared is None
-        else math.sqrt(report.beta_star_squared),
-        "beta_star_interval": report.beta_star_interval,
-        "transition_count": len(report.transition_thetas),
-        "degenerate_pairs": report.degenerate_pairs,
-        "unanimous_pairs": report.unanimous_pairs,
-        "coalesced_transitions": report.coalesced,
+        if crossings.beta_star_squared is None
+        else math.sqrt(crossings.beta_star_squared),
+        "beta_star_interval": crossings.beta_star_interval,
+        "transition_count": crossings.n_crossings,
+        "degenerate_pairs": crossings.degenerate_pairs,
+        "unanimous_pairs": crossings.unanimous_pairs,
+        "coalesced_transitions": crossings.coalesced,
         "equidistance_gap": None
         if report.equidistance_gap is None
         else _frac(report.equidistance_gap),
@@ -227,7 +228,7 @@ def cmd_analyze(args) -> int:
     tables = {
         "transitions": (
             ("index", "theta", "beta"),
-            [(i, t, math.sqrt(t)) for i, t in enumerate(report.transition_thetas.tolist())],
+            [(i, t, math.sqrt(t)) for i, t in enumerate(crossings.thetas.tolist())],
         ),
         "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations),
         "frechet_variance": (("beta", "variance"), report.frechet_curve),

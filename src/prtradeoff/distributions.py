@@ -741,21 +741,18 @@ def mc_pencil_optimality(
     candidate_offset: float,
     n_pairs: int = 10**6,
     seed: int = 0,
-    optimal_offset: float | None = None,
 ) -> float:
     """Degree of optimality of a pencil score under pi3 or pi4, by pair classification.
 
     Draws independent ROC pairs, keeps those on which precision and
     recall contradict each other, and returns the fraction the candidate
-    orders like the optimal tradeoff.  The ROC geometry of pi3/pi4 does
-    not depend on the prior, so neither does the result.
+    orders like the optimal tradeoff, the family's
+    ``optimal_vertex_offset``.  The ROC geometry of pi3/pi4 does not
+    depend on the prior, so neither does the result.
     """
     _analytic_tau(family)  # rejects families other than pi3 and pi4
     candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
     _check_n_pairs(n_pairs)
-    if optimal_offset is None:
-        optimal_offset = optimal_vertex_offset(family)
-    optimal_offset = _check_pencil_offset("optimal_offset", optimal_offset)
     rng = _generator(seed)
     x1, y1 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
     x2, y2 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
@@ -765,7 +762,7 @@ def mc_pencil_optimality(
     s_pr = _pencil_sign(x1, y1, x2, y2, 0.0)
     s_re = np.sign(y1 - y2)
     s_cand = _pencil_sign(x1, y1, x2, y2, candidate_offset)
-    s_star = _pencil_sign(x1, y1, x2, y2, optimal_offset)
+    s_star = _pencil_sign(x1, y1, x2, y2, optimal_vertex_offset(family))
     contradictory = s_pr * s_re < 0
     good = int((contradictory & (s_cand * s_star > 0)).sum())
     bad_ = int((contradictory & (s_cand * s_star < 0)).sum())

@@ -44,9 +44,16 @@ def mc_f1_degree(spec: dist.DistributionSpec, n_pairs: int, seed: int) -> float:
 
     The taus of (precision, recall), (precision, F1) and (F1, recall) use
     seeds ``seed``, ``seed + 1`` and ``seed + 2``: the first three rows of
-    ``sweep_tables``' ``taus`` table at the same seed.
+    ``sweep_tables``' ``taus`` table at the same seed.  Raises ValueError
+    when no sampled pair has precision and recall disagreeing, since the
+    degree is then undefined.
     """
     t_pr_re, t1, t2 = (e.value for e in _score_pair_taus(spec, SCORE_PAIRS[:3], n_pairs, seed))
+    if t_pr_re == 1.0:
+        raise ValueError(
+            f"F1's degree of optimality is undefined: precision and recall agree on all "
+            f"{n_pairs} sampled pairs (tau = 1); sample more pairs"
+        )
     p_agree = (1.0 + t_pr_re) / 2.0
     p_bad = abs(t1 - t2) / 4.0
     p_good = 1.0 - p_agree - p_bad
@@ -67,13 +74,9 @@ def table1_cells(n_pairs: int, seed: int) -> list[tuple[str, float, float, float
     # replicates of both families share one concurrent map
     per_prior = max(n_pairs // len(PRIOR_GRID), 10**5)
     expected = {"pi3": math.log(4.0) - 0.5, "pi4": 5.0 / 6.0}
-    star = {family: dist.optimal_vertex_offset(family) for family in expected}
     replicates = [(family, seed + 50 + i) for family in expected for i in range(len(PRIOR_GRID))]
     degrees = dist._map_concurrently(
-        lambda job: dist.mc_pencil_optimality(
-            job[0], 1.0, per_prior, job[1], optimal_offset=star[job[0]]
-        ),
-        replicates,
+        lambda job: dist.mc_pencil_optimality(job[0], 1.0, per_prior, job[1]), replicates
     )
     for family in expected:
         vals = [d for (f, _), d in zip(replicates, degrees) if f == family]
@@ -114,7 +117,7 @@ def _score_pair_tables(spec, n_pairs: int, seed: int):
 
 
 def _pencil_tables(spec, n_pairs: int, seed: int):
-    tau = dist.analytic_tau_fixed_priors if spec.family == "pi3" else dist.analytic_tau_above_no_skill
+    tau = dist._analytic_tau(spec.family)
     star = dist.optimal_vertex_offset(spec.family)
     priors = np.linspace(0.02, 0.98, 49)
     tables = {

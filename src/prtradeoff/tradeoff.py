@@ -196,7 +196,7 @@ class OptimalityBreakdown:
 
 
 def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
-    """d(Pr, Re), the pair count, and a function giving any candidate's breakdown.
+    """d(Pr, Re) and a function giving any candidate's breakdown.
 
     F_beta* is ranked once here for all candidates.
     """
@@ -205,7 +205,7 @@ def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
     if d_pr_re == 0 or beta_star_squared is None:
         one = Fraction(1)
         vacuous = OptimalityBreakdown(one, Fraction(0), Fraction(0), one, vacuous=True)
-        return d_pr_re, total, lambda candidate: vacuous
+        return d_pr_re, lambda candidate: vacuous
     r_star = rank_by_score(pset, fbeta(math.sqrt(beta_star_squared)))
     p_agree = 1 - Fraction(d_pr_re, total)
 
@@ -215,7 +215,7 @@ def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
         p_good = 1 - p_agree - p_bad
         return OptimalityBreakdown(p_agree, p_good, p_bad, p_good / (p_good + p_bad))
 
-    return d_pr_re, total, breakdown
+    return d_pr_re, breakdown
 
 
 def optimality_decomposition(
@@ -231,7 +231,7 @@ def optimality_decomposition(
     """
     if beta_star_squared is None:
         beta_star_squared = pset.crossings.beta_star_squared
-    _, _, breakdown = _breakdowns(pset, beta_star_squared)
+    _, breakdown = _breakdowns(pset, beta_star_squared)
     return breakdown(candidate)
 
 
@@ -256,18 +256,17 @@ def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
 
 @dataclass(frozen=True)
 class TradeoffReport:
-    """Everything the analysis pipeline knows about one performance set."""
+    """What the analysis pipeline computes for one performance set.
 
-    n_items: int
-    total_pairs: int
+    The set's own facts are read from ``pset``: its size and pair count
+    (``len(pset)``, ``pset.total_pairs``) and its crossings, the optimal
+    beta^2, its interval and the degenerate and unanimous pair counts
+    (``pset.crossings``).  The report holds no copy of them.
+    """
+
+    pset: PerformanceSet = field(repr=False)
     tau_pr_re: float
     discordant_pr_re: int
-    beta_star_squared: float | None
-    beta_star_interval: tuple[float, float] | None
-    transition_thetas: np.ndarray = field(compare=False, repr=False)  # pset.crossings.thetas
-    degenerate_pairs: int
-    unanimous_pairs: int
-    coalesced: bool
     equidistance_gap: Fraction | None
     heuristic: float | None
     frechet_curve: tuple[tuple[float, float], ...]
@@ -289,9 +288,8 @@ def analyze_set(
     with the reason); ``extra_betas`` adds user-chosen F-scores, keyed by
     their labels.  Two different betas with one label raise ValueError.
     """
-    summary = pset.crossings
-    b2_star = summary.beta_star_squared
-    d_pr_re, total, breakdown = _breakdowns(pset, b2_star)
+    b2_star = pset.crossings.beta_star_squared
+    d_pr_re, breakdown = _breakdowns(pset, b2_star)
 
     try:
         heur: float | None = heuristic_beta(pset)
@@ -318,16 +316,9 @@ def analyze_set(
             skipped[name] = str(exc)
 
     return TradeoffReport(
-        n_items=len(pset),
-        total_pairs=total,
-        tau_pr_re=1.0 - 2.0 * d_pr_re / total,
+        pset=pset,
+        tau_pr_re=1.0 - 2.0 * d_pr_re / pset.total_pairs,
         discordant_pr_re=d_pr_re,
-        beta_star_squared=b2_star,
-        beta_star_interval=summary.beta_star_interval,
-        transition_thetas=summary.thetas,
-        degenerate_pairs=summary.degenerate_pairs,
-        unanimous_pairs=summary.unanimous_pairs,
-        coalesced=summary.coalesced,
         equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star),
         heuristic=heur,
         frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span)),

@@ -425,3 +425,12 @@ def test_table1_failing_checks_exit_3(tmp_path, capsys):
     assert "FAIL" in captured
     payload = json.loads((out / "table1.json").read_text())
     assert not all(cell["passed"] for cell in payload["cells"])
+
+
+def test_table1_with_too_few_pairs_exits_2_and_writes_nothing(tmp_path, capsys):
+    # at seed 0 precision and recall order the one sampled pair alike
+    out = tmp_path / "out"
+    code = cli.main(["table1", "--pairs", "1", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "precision and recall agree on all 1 sampled pairs" in capsys.readouterr().err
+    assert not out.exists()

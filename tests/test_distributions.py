@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import multiprocessing
 import sys
@@ -462,6 +463,19 @@ def test_table1_cells_do_not_depend_on_the_cpu_count(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize(
+    "spec, n_pairs, seed",
+    # table1's first pi1 cell at --pairs 1 and its second pi2 cell at --pairs 5, seed 0
+    [(uniform_spec(), 1, 0), (fixed_tn_spec(0.3), 5, 20)],
+    ids=["pi1-1", "pi2-5"],
+)
+def test_f1_degree_is_undefined_when_no_sampled_pair_disagrees(spec, n_pairs, seed):
+    assert mc_kendall_tau(spec, PRECISION, RECALL, n_pairs, seed).value == 1.0
+    with pytest.raises(ValueError, match="precision and recall agree on all"):
+        studies.mc_f1_degree(spec, n_pairs, seed)
+    assert 0.0 < studies.mc_f1_degree(spec, 2000, seed) <= 1.0
+
+
 def test_analytic_sum_identities():
     for off in OFFSETS:
         s3 = analytic_tau_fixed_priors("pr", off) + analytic_tau_fixed_priors("re", off)
@@ -688,9 +702,8 @@ def test_monte_carlo_studies_reject_fewer_than_one_pair(call, n_pairs):
     [
         lambda off: mc_tau_sides_near_oracle(0.3, off, 1000, 0),
         lambda off: mc_pencil_optimality("pi3", off, 1000, 0),
-        lambda off: mc_pencil_optimality("pi3", 1.0, 1000, 0, optimal_offset=off),
     ],
-    ids=["sides", "candidate", "optimal"],
+    ids=["sides", "candidate"],
 )
 def test_pencil_studies_reject_nan_and_nonpositive_offsets(call, offset):
     with pytest.raises(ValueError, match="must be > 0 or inf"):
@@ -700,4 +713,11 @@ def test_pencil_studies_reject_nan_and_nonpositive_offsets(call, offset):
 def test_pencil_studies_accept_the_recall_limit():
     # an infinite vertex offset is recall itself
     assert mc_tau_sides_near_oracle(0.3, math.inf, 1000, 0)[1] == 1.0
-    assert mc_pencil_optimality("pi3", math.inf, 1000, 0, optimal_offset=math.inf) == 1.0
+    assert 0.0 < mc_pencil_optimality("pi3", math.inf, 1000, 0) < 1.0
+
+
+def test_pencil_optimality_takes_no_optimal_offset():
+    # the optimum is the family's own optimal_vertex_offset, found inside
+    assert list(inspect.signature(mc_pencil_optimality).parameters) == [
+        "family", "candidate_offset", "n_pairs", "seed"
+    ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from prtradeoff import (
     DegeneratePairError,
     Performance,
     PerformanceSet,
+    TradeoffReport,
     ZeroDenominatorError,
     analyze_set,
     crossing_beta_squared,
@@ -337,13 +339,15 @@ def test_equidistance_gap_for_both_transition_parities():
 def test_analyze_set_report_consistency():
     pset = random_pset(36, 20)
     report = analyze_set(pset, extra_betas=(0.5,))
-    assert report.n_items == 20
-    assert report.total_pairs == 190
+    assert report.pset is pset
+    assert len(report.pset) == 20
+    assert report.pset.total_pairs == 190
     assert report.tau_pr_re == pytest.approx(1 - 2 * report.discordant_pr_re / 190)
     assert set(report.optimality) >= {"f1", "sivf", "heuristic", "fbeta(0.5)"}
-    lo, hi = report.beta_star_interval
-    assert lo <= report.beta_star_squared <= hi
-    assert len(report.transition_thetas) + report.unanimous_pairs + report.degenerate_pairs == 190
+    crossings = report.pset.crossings
+    lo, hi = crossings.beta_star_interval
+    assert lo <= crossings.beta_star_squared <= hi
+    assert crossings.n_crossings + crossings.unanimous_pairs + crossings.degenerate_pairs == 190
     for breakdown in report.optimality.values():
         assert breakdown.p_agree + breakdown.p_optimal + breakdown.p_not_optimal == 1
     assert report.equidistance_gap <= Fraction(1, 190)
@@ -382,7 +386,7 @@ def test_analyze_set_ranks_each_candidate_and_the_optimum_once(monkeypatch):
     assert len(counted) == len(report.optimality) + 1  # d(Pr, Re), then one per candidate
     for name, score in (("f1", F1), ("fbeta(0.5)", fbeta(0.5))):
         assert report.optimality[name] == optimality_decomposition(
-            pset, score, report.beta_star_squared
+            pset, score, report.pset.crossings.beta_star_squared
         )
 
 
@@ -403,5 +407,13 @@ def test_a_set_shares_one_read_only_crossing_summary():
     assert not thetas.flags.writeable
     assert type(b2) is float
     report = analyze_set(pset)
-    assert report.transition_thetas is summary.thetas
-    assert report.beta_star_interval == summary.beta_star_interval
+    assert report.pset is pset
+    assert report.pset.crossings is summary
+
+
+def test_a_report_holds_only_what_the_analysis_computes():
+    # the set's size, pair count and crossing facts are read from report.pset
+    assert [f.name for f in dataclasses.fields(TradeoffReport)] == [
+        "pset", "tau_pr_re", "discordant_pr_re", "equidistance_gap",
+        "heuristic", "frechet_curve", "optimality", "skipped_candidates",
+    ]
