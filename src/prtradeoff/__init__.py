@@ -28,7 +28,6 @@ from .distributions import (
     mc_tau_sides_near_oracle,
     near_oracle_spec,
     optimal_vertex_offset,
-    sample,
     sample_parts,
     sivf_equidistance_prior_near_oracle,
     uniform_spec,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import studies
-from .ingest import IngestError, ingest
+from .ingest import ingest
 from .manifold import (
     DegenerateSpreadError,
     build_path,
@@ -359,10 +359,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # IngestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import sys
 import threading
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranking import _SideCounts
-from .scores import Performance, ScoreFunction, TIE_TOL, roc_columns, score_columns
+from .scores import ScoreFunction, TIE_TOL, _check_prior_pos, roc_columns, score_columns
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
@@ -50,13 +51,6 @@ _REDRAW_FRACTION = 0.01
 
 class RedrawLimitError(RuntimeError):
     """Too many degenerate Monte Carlo pairs (undefined or tied scores)."""
-
-
-def _check_prior_pos(prior_pos) -> float:
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -112,6 +106,7 @@ def near_oracle_spec(prior_pos: float) -> DistributionSpec:
 
 
 def _generator(seed: int, counter: int = 0) -> np.random.Generator:
+    seed = operator.index(seed)  # a float raises: Philox would truncate 1.5 to seed 1
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
@@ -179,15 +174,6 @@ def sample_parts(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
     return np.stack(_draw_columns(spec, _generator(seed), count), axis=1)
 
 
-def sample(spec: DistributionSpec, seed: int, count: int) -> list[Performance]:
-    """``count`` draws as ``Performance`` objects: the per-object route.
-
-    Each object normalizes its own row: some 20-25 us a row.  For arrays,
-    use ``sample_parts`` and ``PerformanceSet.from_parts``.
-    """
-    return [Performance(*row) for row in sample_parts(spec, seed, count)]
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo estimate with a 95% confidence half-width."""
@@ -200,7 +186,7 @@ class McEstimate:
 
 
 def _check_n_pairs(n_pairs: int) -> None:
-    if n_pairs < 1:
+    if operator.index(n_pairs) < 1:
         raise ValueError("n_pairs must be >= 1")
 
 
@@ -579,9 +565,13 @@ def _check_pencil_offset(name: str, offset: float) -> float:
     return ell
 
 
-def _near_oracle_uniforms(n_pairs: int, seed: int):
-    rng = _generator(seed)
-    return tuple(rng.uniform(0.0, 1.0, n_pairs) for _ in range(4))
+def _near_oracle_uniforms(n_pairs: int, seed: int) -> np.ndarray:
+    """The frozen pairs' uniforms as one (4, n_pairs) array, rows (ux, uy, vx, vy).
+
+    Row-major filling makes the rows the generator's first four runs of
+    n_pairs draws, in order.
+    """
+    return _generator(seed).uniform(0.0, 1.0, (4, n_pairs))
 
 
 def _near_oracle_points(uniforms, prior_pos: float):
@@ -605,10 +595,10 @@ def _tau(discordant, n_pairs: int) -> float:
 
 def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
     """(tau(Pr, F), tau(F, Re)) under pi5 on frozen uniform draws, counted ``_BLOCK`` pairs at a time."""
-    n = len(uniforms[0])
+    n = uniforms.shape[1]
     a = b = 0
     for first in range(0, n, _BLOCK):
-        points = _near_oracle_points(tuple(u[first:first + _BLOCK] for u in uniforms), prior_pos)
+        points = _near_oracle_points(uniforms[:, first:first + _BLOCK], prior_pos)
         in_a, in_b = _discordant(points, offset)
         a += np.count_nonzero(in_a)
         b += np.count_nonzero(in_b)
@@ -632,7 +622,7 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
 
     def block(first):
         window = slice(first, first + _BLOCK)
-        x1, y1, x2, y2 = _near_oracle_points(tuple(u[window] for u in uniforms), prior_pos)
+        x1, y1, x2, y2 = _near_oracle_points(uniforms[:, window], prior_pos)
         slope = y1 - y2
         irregular = first + np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
         live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
@@ -643,11 +633,11 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
         return irregular, (first + live).astype(np.int32), start, [(ell, jumps)]
 
     def direct(probes, k, ids):
-        points = _near_oracle_points(tuple(u[ids] for u in uniforms), prior_pos)
+        points = _near_oracle_points(uniforms[:, ids], prior_pos)
         return _discordant(points, probes[k])
 
     # each block's temporaries are freed before the next block is built
-    return _SideCounts(direct, map(block, range(0, len(uniforms[0]), _BLOCK)), lo, hi)
+    return _SideCounts(direct, map(block, range(0, uniforms.shape[1], _BLOCK)), lo, hi)
 
 
 def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
@@ -666,9 +656,9 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
 
     def block(first):
         window = slice(first, first + _BLOCK)
-        ids = first + np.flatnonzero(uniforms[1][window] - uniforms[3][window] > -_ILL_CONDITIONED)
+        ids = first + np.flatnonzero(uniforms[1, window] - uniforms[3, window] > -_ILL_CONDITIONED)
         ids = ids.astype(np.int32)
-        ux, uy, vx, vy = (u[ids] for u in uniforms)
+        ux, uy, vx, vy = uniforms[:, ids]
         c = uy - vy
         b = uy * vx - vy * ux
         lead = (vx - ux) - b
@@ -703,10 +693,10 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
         return ids[ill], ids, start, slots
 
     def direct(probes, k, ids):
-        return _discordant(_near_oracle_points(tuple(u[ids] for u in uniforms), probes[k]), 1.0)
+        return _discordant(_near_oracle_points(uniforms[:, ids], probes[k]), 1.0)
 
     # each block's temporaries are freed before the next block is built
-    return _SideCounts(direct, map(block, range(0, len(uniforms[0]), _BLOCK)), lo, hi)
+    return _SideCounts(direct, map(block, range(0, uniforms.shape[1], _BLOCK)), lo, hi)
 
 
 def mc_tau_sides_near_oracle(
@@ -744,25 +734,26 @@ def mc_pencil_optimality(
 ) -> float:
     """Degree of optimality of a pencil score under pi3 or pi4, by pair classification.
 
-    Draws independent ROC pairs, keeps those on which precision and
-    recall contradict each other, and returns the fraction the candidate
-    orders like the optimal tradeoff, the family's
-    ``optimal_vertex_offset``.  The ROC geometry of pi3/pi4 does not
-    depend on the prior, so neither does the result.
+    Draws the pairs' ROC points (x1, y1, x2, y2) as the rows of one
+    (4, n_pairs) uniform array, redraws pi4's points below the diagonal,
+    keeps the pairs on which precision (offset 0) and recall (offset inf)
+    contradict each other, and returns the fraction the candidate orders
+    like the optimal tradeoff, the family's ``optimal_vertex_offset``.
+    The ROC geometry of pi3/pi4 does not depend on the prior, so neither
+    does the result.
     """
     _analytic_tau(family)  # rejects families other than pi3 and pi4
     candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
     _check_n_pairs(n_pairs)
     rng = _generator(seed)
-    x1, y1 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
-    x2, y2 = rng.uniform(0.0, 1.0, n_pairs), rng.uniform(0.0, 1.0, n_pairs)
+    points = rng.uniform(0.0, 1.0, (4, n_pairs))  # rows (x1, y1, x2, y2)
     if family == "pi4":
-        _redraw_below_diagonal(rng, x1, y1)
-        _redraw_below_diagonal(rng, x2, y2)
-    s_pr = _pencil_sign(x1, y1, x2, y2, 0.0)
-    s_re = np.sign(y1 - y2)
-    s_cand = _pencil_sign(x1, y1, x2, y2, candidate_offset)
-    s_star = _pencil_sign(x1, y1, x2, y2, optimal_vertex_offset(family))
+        _redraw_below_diagonal(rng, points[0], points[1])
+        _redraw_below_diagonal(rng, points[2], points[3])
+    s_pr, s_re, s_cand, s_star = (
+        _pencil_sign(*points, offset)
+        for offset in (0.0, math.inf, candidate_offset, optimal_vertex_offset(family))
+    )
     contradictory = s_pr * s_re < 0
     good = int((contradictory & (s_cand * s_star > 0)).sum())
     bad_ = int((contradictory & (s_cand * s_star < 0)).sum())

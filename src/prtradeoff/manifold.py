@@ -50,12 +50,6 @@ class RankingPath:
         """The ranking on plateau k."""
         return Ranking(tuple(self.ranks[k].tolist()))
 
-    def plateau_bounds(self, k: int) -> tuple[float, float]:
-        """The betas (low, high) between which plateau k holds; 0 and inf at the ends."""
-        lo = 0.0 if k == 0 else self.transition_betas[k - 1]
-        hi = self.transition_betas[k] if k < len(self.transition_betas) else math.inf
-        return lo, hi
-
     def plateau_of(self, beta):
         """Index of the plateau containing the given beta; an array of betas gives an array."""
         k = np.searchsorted(self.transition_betas, _check_betas(beta), "left")

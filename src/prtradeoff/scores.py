@@ -277,15 +277,21 @@ def fbeta_importance(beta: float) -> ImportanceWeights:
     return ImportanceWeights(0.0, 1.0, b2, 1.0 + b2)
 
 
+def _check_prior_pos(prior_pos) -> float:
+    """A positive class prior, strictly inside (0, 1): no F-score is defined at 0 or 1."""
+    p = float(prior_pos)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"prior_pos must be in (0, 1), got {prior_pos!r}")
+    return p
+
+
 def sivf_importance(prior_pos: float) -> ImportanceWeights:
     """Importance weights matching the skew-insensitive F-score at fixed priors.
 
     Proportional to (0, prior_pos, prior_neg, 2 prior_neg); at those
     priors the resulting ranking score reproduces the SIVF value itself.
     """
-    p = float(prior_pos)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"prior_pos must be strictly inside (0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     q = 1.0 - p
     return ImportanceWeights(0.0, p, q, 2.0 * q)
 
@@ -297,12 +303,11 @@ def pencil_vertex_offset(beta: float, prior_pos: float) -> float:
     straight lines through ``(-offset, 0)`` with
     ``offset = beta^2 prior_pos / (1 - prior_pos)``.  Precision has offset
     0, recall infinity, and the skew-insensitive F-score offset 1
-    regardless of the priors.
+    regardless of the priors.  ``prior_pos`` must be strictly inside
+    (0, 1): at 0 there is no positive class, and no F-score.
     """
     b = float(beta)
-    p = float(prior_pos)
     if math.isnan(b) or b < 0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"prior_pos must be in [0, 1), got {prior_pos!r}")
+    p = _check_prior_pos(prior_pos)
     return b * b * p / (1.0 - p)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,16 +240,18 @@ def _reference_manifold_csvs(path, comment_line):
     plateaus, trajectories = io.StringIO(newline=""), io.StringIO(newline="")
     for buf in (plateaus, trajectories):
         buf.write(comment_line)
+    ends = (0.0, *path.transition_betas, math.inf)
+    bounds = list(zip(ends, ends[1:]))  # plateau k holds between ends[k] and ends[k + 1]
     writer = csv.writer(plateaus)
     writer.writerow(("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision"))
     for k, s in enumerate(path.swaps):
         d = Fraction(s, pset.total_pairs)
-        writer.writerow((k, *path.plateau_bounds(k), f"{d.numerator}/{d.denominator}", float(d)))
+        writer.writerow((k, *bounds[k], f"{d.numerator}/{d.denominator}", float(d)))
     writer = csv.writer(trajectories)
     writer.writerow(("item", "plateau", "beta_low", "beta_high", "rank"))
     for i, label in enumerate(labels):
         for k in range(path.n_plateaus):
-            writer.writerow((label, k, *path.plateau_bounds(k), int(path.ranks[k, i])))
+            writer.writerow((label, k, *bounds[k], int(path.ranks[k, i])))
     return {"plateaus.csv": plateaus.getvalue(), "rank_trajectories.csv": trajectories.getvalue()}
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import prtradeoff
 from prtradeoff import (
     F1,
     FPR,
@@ -36,7 +37,6 @@ from prtradeoff import (
     mc_tau_sides_near_oracle,
     near_oracle_spec,
     optimal_vertex_offset,
-    sample,
     sample_parts,
     sivf_equidistance_prior_near_oracle,
     uniform_spec,
@@ -104,13 +104,15 @@ def test_fixed_priors_sampler_mean_ptp():
     assert parts[:, 3].mean() == pytest.approx(0.25, abs=0.005)
 
 
-def test_sample_matches_sample_parts():
-    spec = fixed_priors_spec(0.3)
-    perfs = sample(spec, 9, 50)
-    parts = sample_parts(spec, 9, 50)
-    assert np.allclose([p.as_array() for p in perfs], parts, atol=1e-15)
-    with pytest.raises(ValueError):
-        sample(spec, 9, 0)
+def test_sample_parts_rejects_an_empty_draw():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_parts(fixed_priors_spec(0.3), 9, 0)
+
+
+def test_sample_parts_is_the_one_draw_route():
+    # objects come from PerformanceSet.from_parts(sample_parts(...)) or its rows
+    assert "sample" not in prtradeoff.__all__
+    assert not hasattr(dist, "sample")
 
 
 def _redraw_below_diagonal_full_scan(rng, x, y):
@@ -694,6 +696,38 @@ def test_mc_pencil_optimality():
 def test_monte_carlo_studies_reject_fewer_than_one_pair(call, n_pairs):
     with pytest.raises(ValueError, match="n_pairs must be >= 1"):
         call(n_pairs)
+
+
+SEEDED_CALLS = [
+    lambda seed, n=1000: sample_parts(near_oracle_spec(0.3), seed, n),
+    lambda seed, n=1000: mc_kendall_tau(uniform_spec(), PRECISION, RECALL, n, seed),
+    lambda seed, n=1000: mc_pencil_optimality("pi4", 1.0, n, seed),
+    lambda seed, n=1000: mc_optimal_vertex_offset_near_oracle(0.3, n, seed),
+    lambda seed, n=1000: sivf_equidistance_prior_near_oracle(n, seed),
+    lambda seed, n=1000: mc_tau_sides_near_oracle(0.3, 1.0, n, seed),
+]
+SEEDED_IDS = ["sample_parts", "tau", "pencil", "offset", "prior", "sides"]
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS, ids=SEEDED_IDS)
+@pytest.mark.parametrize("seed", [1.5, 2.7, np.float64(3.0)], ids=repr)
+def test_a_non_integer_seed_is_rejected(call, seed):
+    # Philox would truncate a float key, so seed 1.5 would draw seed 1's pairs
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(seed)
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS, ids=SEEDED_IDS)
+def test_an_integer_seed_of_any_type_draws_the_same(call):
+    got, want = call(np.int64(3)), call(3)
+    assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS[1:], ids=SEEDED_IDS[1:])
+def test_a_non_integer_pair_count_is_rejected_at_the_check(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer") as info:
+        call(0, 1.5)
+    assert info.traceback[-1].name == "_check_n_pairs"
 
 
 @pytest.mark.parametrize("offset", [math.nan, 0.0, -1.0, -math.inf])

@@ -210,3 +210,8 @@ def test_path_holds_one_read_only_copy_of_its_ranks():
     assert np.shares_memory(traj, path.ranks)
     with pytest.raises(ValueError):
         traj[0, 0] = 1
+
+
+def test_plateau_bounds_are_read_from_the_transition_betas():
+    # plateau k holds between (0, *transition_betas, inf)[k] and the next one
+    assert not hasattr(RankingPath, "plateau_bounds")

@@ -69,7 +69,7 @@ def _quantized(n_pairs, seed):
         u = rng.integers(1, 16, n_pairs) / 16.0
         u += rng.choice([0.0, 0.0, 2.0**-30, -(2.0**-30)], n_pairs)
         draws.append(u)
-    return tuple(draws)
+    return np.stack(draws)
 
 
 def _probes(values, lo, hi, grid):
@@ -137,6 +137,14 @@ def test_batched_counts_equal_scalar_counts(draw, seed):
         batched = counts(np.array(probes))
         assert batched.shape == (2, len(probes))
         assert batched.T.tolist() == [counts(x).tolist() for x in probes]
+
+
+def test_frozen_uniforms_are_one_array_of_four_sequential_draws():
+    uniforms = dist._near_oracle_uniforms(1000, 7)
+    assert isinstance(uniforms, np.ndarray) and uniforms.shape == (4, 1000)
+    rng = dist._generator(7)
+    for row in uniforms:
+        assert np.array_equal(row, rng.uniform(0.0, 1.0, 1000))
 
 
 def test_sides_equal_full_pass():

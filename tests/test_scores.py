@@ -27,7 +27,6 @@ from prtradeoff import (
     near_oracle_spec,
     pencil_vertex_offset,
     ranking_score,
-    sample,
     sample_parts,
     score_values,
     sivf_importance,
@@ -262,6 +261,10 @@ def test_pencil_vertex_offset():
         pencil_vertex_offset(1.0, 1.0)
     with pytest.raises(ValueError):
         pencil_vertex_offset(-1.0, 0.5)
+    # prior 0 has no positive class, so no F-score and no offset (inf * 0 would be NaN)
+    for beta in (math.inf, 1.0):
+        with pytest.raises(ValueError, match=r"prior_pos must be in \(0, 1\)"):
+            pencil_vertex_offset(beta, 0.0)
 
 
 def test_tnr_fpr_complement():
@@ -343,6 +346,7 @@ def test_bad_cells_raise_the_first_problem_of_the_first_bad_row(row, message):
     ids=lambda spec: spec.family,
 )
 def test_a_sampled_set_holds_exactly_the_sampled_performances(spec):
-    stacked = [(p.ptn, p.pfp, p.pfn, p.ptp) for p in sample(spec, 5, 500)]
+    performances = tuple(Performance(*row) for row in sample_parts(spec, 5, 500))
+    stacked = [(p.ptn, p.pfp, p.pfn, p.ptp) for p in performances]
     assert bits(PerformanceSet.from_parts(sample_parts(spec, 5, 500)).parts) == bits(stacked)
-    assert bits(PerformanceSet(tuple(sample(spec, 5, 500))).parts) == bits(stacked)
+    assert bits(PerformanceSet(performances).parts) == bits(stacked)

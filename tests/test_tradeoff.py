@@ -285,6 +285,17 @@ def test_decomposition_vacuous_on_unanimous_set():
     assert got.p_agree == 1
 
 
+@pytest.mark.parametrize("b2", [-1.0, -0.0001, math.nan, -math.inf])
+def test_negative_or_nan_beta_squared_is_rejected_by_name(b2):
+    pset = random_pset(34, 12)
+    with pytest.raises(ValueError, match="beta_squared must be >= 0"):
+        equidistance_gap(pset, b2)
+    # before the vacuous breakdown, which a set that never disagrees returns
+    for s in (pset, unanimous_pset()):
+        with pytest.raises(ValueError, match="beta_star_squared must be >= 0"):
+            optimality_decomposition(s, F1, b2)
+
+
 def test_f1_is_suboptimal_at_extreme_priors():
     pset = PerformanceSet.from_parts(sample_parts(fixed_priors_spec(0.9), 0, 60))
     b2, _ = optimal_beta(pset)
