@@ -29,6 +29,7 @@ same bit for bit whatever the number of threads, and nothing sets it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -169,7 +170,7 @@ def _draw_columns(spec: DistributionSpec, rng: np.random.Generator, n: int) -> t
 
 def sample_parts(spec: DistributionSpec, seed: int, count: int) -> np.ndarray:
     """(count, 4) array of draws; deterministic for a given (spec, seed)."""
-    if count < 1:
+    if operator.index(count) < 1:  # a float raises here, not inside NumPy
         raise ValueError("count must be >= 1")
     return np.stack(_draw_columns(spec, _generator(seed), count), axis=1)
 
@@ -537,6 +538,13 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 # a band around the probe, and every ill-conditioned pair at every probe,
 # is decided by the float sign expressions of a full pass
 # (``_discordant``), so every probe sees exactly a full pass's counts.
+#
+# The frozen pairs are the columns of one (4, n) array of uniform draws,
+# but no search holds it: each reads it ``_BLOCK`` pairs at a time from
+# the Philox stream (``_near_oracle_window``) and keeps only what the
+# kernel needs, its breakpoints near the probed range and the irregular
+# pairs' uniforms.  A pair with a breakpoint in a probe's band is read
+# again by its position in the stream, once (``_PairReader``).
 # ---------------------------------------------------------------------------
 
 # Pairs whose slope, leading coefficient or discriminant is below this in
@@ -565,13 +573,66 @@ def _check_pencil_offset(name: str, offset: float) -> float:
     return ell
 
 
-def _near_oracle_uniforms(n_pairs: int, seed: int) -> np.ndarray:
-    """The frozen pairs' uniforms as one (4, n_pairs) array, rows (ux, uy, vx, vy).
+def _near_oracle_window(n_pairs: int, seed: int, first: int, stop: int) -> np.ndarray:
+    """Uniforms (ux, uy, vx, vy) of frozen pairs first .. stop - 1, as a (4, stop - first) array.
 
-    Row-major filling makes the rows the generator's first four runs of
-    n_pairs draws, in order.
+    The frozen pairs are the columns of ``_generator(seed).uniform(0.0,
+    1.0, (4, n_pairs))``, which is never built: row r of pair i is draw
+    r * n_pairs + i of that generator.  A Philox counter step makes four
+    draws, so each row starts at the step holding its first draw and
+    drops the draws before it.  ``random`` draws the doubles that
+    ``uniform(0.0, 1.0)`` draws.  Every read of the frozen pairs comes
+    through here.
     """
-    return _generator(seed).uniform(0.0, 1.0, (4, n_pairs))
+    out = np.empty((4, stop - first))
+    for r, row in enumerate(out):
+        start = r * n_pairs + first
+        rng = _generator(seed, start // 4)
+        rng.random(start % 4)
+        rng.random(out=row)
+    return out
+
+
+def _near_oracle_blocks(n_pairs: int, seed: int):
+    """(first, uniforms) of each window of ``_BLOCK`` frozen pairs, in order."""
+    for first in range(0, n_pairs, _BLOCK):
+        yield first, _near_oracle_window(n_pairs, seed, first, min(first + _BLOCK, n_pairs))
+
+
+class _PairReader:
+    """Any frozen pairs' uniforms, for a kernel's ``direct`` decisions.
+
+    It holds the pairs handed to ``keep`` (the irregular ones, decided at
+    every probe).  Any other pair asked for (one with a breakpoint in a
+    probe's band) is read again by its position in the stream, then held
+    too: the probes of a bisection close in on the same few pairs.  It
+    holds no reference to the kernel, so a kernel is freed as soon as it is
+    dropped.
+    """
+
+    def __init__(self, n_pairs: int, seed: int):
+        self.n_pairs, self.seed = n_pairs, seed
+        self.ids = np.empty(0, np.int64)  # ascending
+        self.uniforms = np.empty((4, 0))
+
+    def keep(self, ids, uniforms) -> None:
+        ids = np.concatenate([self.ids, ids])
+        order = np.argsort(ids, kind="stable")
+        self.ids = ids[order]
+        self.uniforms = np.concatenate([self.uniforms, uniforms], axis=1)[:, order]
+
+    def __call__(self, ids) -> np.ndarray:
+        """(4, len(ids)) uniforms of pairs ``ids``."""
+        at = np.searchsorted(self.ids, ids)
+        missing = at == self.ids.size
+        missing[~missing] = self.ids[at[~missing]] != ids[~missing]
+        if missing.any():
+            others = np.unique(ids[missing]).tolist()
+            self.keep(others, np.concatenate(
+                [_near_oracle_window(self.n_pairs, self.seed, i, i + 1) for i in others], axis=1
+            ))
+            at = np.searchsorted(self.ids, ids)
+        return self.uniforms[:, at]
 
 
 def _near_oracle_points(uniforms, prior_pos: float):
@@ -593,16 +654,14 @@ def _tau(discordant, n_pairs: int) -> float:
     return float(1.0 - 4.0 * (discordant / n_pairs))
 
 
-def _near_oracle_sides(uniforms, prior_pos: float, offset: float) -> tuple[float, float]:
-    """(tau(Pr, F), tau(F, Re)) under pi5 on frozen uniform draws, counted ``_BLOCK`` pairs at a time."""
-    n = uniforms.shape[1]
+def _near_oracle_sides(n_pairs: int, seed: int, prior_pos: float, offset: float) -> tuple[float, float]:
+    """(tau(Pr, F), tau(F, Re)) under pi5 on the frozen pairs, read and counted ``_BLOCK`` pairs at a time."""
     a = b = 0
-    for first in range(0, n, _BLOCK):
-        points = _near_oracle_points(uniforms[:, first:first + _BLOCK], prior_pos)
-        in_a, in_b = _discordant(points, offset)
+    for _, uniforms in _near_oracle_blocks(n_pairs, seed):
+        in_a, in_b = _discordant(_near_oracle_points(uniforms, prior_pos), offset)
         a += np.count_nonzero(in_a)
         b += np.count_nonzero(in_b)
-    return _tau(a, n), _tau(b, n)
+    return _tau(a, n_pairs), _tau(b, n_pairs)
 
 
 def _near_oracle_gap(counts, n_pairs: int) -> float:
@@ -610,8 +669,8 @@ def _near_oracle_gap(counts, n_pairs: int) -> float:
     return _tau(counts[0], n_pairs) - _tau(counts[1], n_pairs)
 
 
-def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCounts:
-    """[A, B] at any vertex offset in (lo, hi), at a fixed prior.
+def _offset_counts(n_pairs: int, seed: int, prior_pos: float, lo: float, hi: float) -> _SideCounts:
+    """[A, B] at any vertex offset in (lo, hi), at a fixed prior, on the frozen pairs.
 
     Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
     once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
@@ -619,12 +678,14 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
     sides, which is the median theorem at the level of pairs.  The
     breakpoints are built ``_BLOCK`` pairs at a time.
     """
+    pairs = _PairReader(n_pairs, seed)
 
-    def block(first):
-        window = slice(first, first + _BLOCK)
-        x1, y1, x2, y2 = _near_oracle_points(uniforms[:, window], prior_pos)
+    def block(first, uniforms):
+        x1, y1, x2, y2 = _near_oracle_points(uniforms, prior_pos)
         slope = y1 - y2
-        irregular = first + np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
+        ill = np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
+        irregular = first + ill
+        pairs.keep(irregular, uniforms[:, ill])
         live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
         ell = (y2[live] * x1[live] - y1[live] * x2[live]) / slope[live]
         passed = ell <= 0
@@ -633,15 +694,14 @@ def _offset_counts(uniforms, prior_pos: float, lo: float, hi: float) -> _SideCou
         return irregular, (first + live).astype(np.int32), start, [(ell, jumps)]
 
     def direct(probes, k, ids):
-        points = _near_oracle_points(uniforms[:, ids], prior_pos)
-        return _discordant(points, probes[k])
+        return _discordant(_near_oracle_points(pairs(ids), prior_pos), probes[k])
 
-    # each block's temporaries are freed before the next block is built
-    return _SideCounts(direct, map(block, range(0, uniforms.shape[1], _BLOCK)), lo, hi)
+    # each block's temporaries are freed before the next block is read
+    return _SideCounts(direct, itertools.starmap(block, _near_oracle_blocks(n_pairs, seed)), lo, hi)
 
 
-def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
-    """[A, B] at any prior in (lo, hi), for the offset-1 (skew-insensitive) score.
+def _prior_counts(n_pairs: int, seed: int, lo: float, hi: float) -> _SideCounts:
+    """[A, B] at any prior in (lo, hi), for the offset-1 (skew-insensitive) score, on the frozen pairs.
 
     With a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision and
     F orders of a pair at prior p are the signs of g(p) = b + (a - b) p and
@@ -653,12 +713,13 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
     order r1 < r2 < root of g when a - b > 0, and the reverse when not.
     The breakpoints are built ``_BLOCK`` pairs at a time.
     """
+    pairs = _PairReader(n_pairs, seed)
 
-    def block(first):
-        window = slice(first, first + _BLOCK)
-        ids = first + np.flatnonzero(uniforms[1, window] - uniforms[3, window] > -_ILL_CONDITIONED)
-        ids = ids.astype(np.int32)
-        ux, uy, vx, vy = uniforms[:, ids]
+    def block(first, uniforms):
+        live = np.flatnonzero(uniforms[1] - uniforms[3] > -_ILL_CONDITIONED)
+        uniforms = uniforms[:, live]
+        ids = (first + live).astype(np.int32)
+        ux, uy, vx, vy = uniforms
         c = uy - vy
         b = uy * vx - vy * ux
         lead = (vx - ux) - b
@@ -670,6 +731,8 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
             | (np.abs(lead) < _ILL_CONDITIONED)
             | (np.abs(disc) < _ILL_CONDITIONED)
         )
+        pairs.keep(ids[ill], uniforms[:, ill])
+        del uniforms
         lead[ill] = np.nan  # no breakpoints: these pairs are decided directly
         with np.errstate(invalid="ignore", divide="ignore"):
             w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
@@ -693,10 +756,10 @@ def _prior_counts(uniforms, lo: float, hi: float) -> _SideCounts:
         return ids[ill], ids, start, slots
 
     def direct(probes, k, ids):
-        return _discordant(_near_oracle_points(uniforms[:, ids], probes[k]), 1.0)
+        return _discordant(_near_oracle_points(pairs(ids), probes[k]), 1.0)
 
-    # each block's temporaries are freed before the next block is built
-    return _SideCounts(direct, map(block, range(0, uniforms.shape[1], _BLOCK)), lo, hi)
+    # each block's temporaries are freed before the next block is read
+    return _SideCounts(direct, itertools.starmap(block, _near_oracle_blocks(n_pairs, seed)), lo, hi)
 
 
 def mc_tau_sides_near_oracle(
@@ -706,7 +769,7 @@ def mc_tau_sides_near_oracle(
     p = _check_prior_pos(prior_pos)
     offset = _check_pencil_offset("offset", offset)
     _check_n_pairs(n_pairs)
-    return _near_oracle_sides(_near_oracle_uniforms(n_pairs, seed), p, offset)
+    return _near_oracle_sides(n_pairs, seed, p, offset)
 
 
 def mc_optimal_vertex_offset_near_oracle(
@@ -716,7 +779,7 @@ def mc_optimal_vertex_offset_near_oracle(
     p = _check_prior_pos(prior_pos)
     _check_n_pairs(n_pairs)
     lo, hi = 1e-4, 100.0
-    counts = _offset_counts(_near_oracle_uniforms(n_pairs, seed), p, lo, hi)
+    counts = _offset_counts(n_pairs, seed, p, lo, hi)
     for _ in range(60):
         mid = math.sqrt(lo * hi)
         if _near_oracle_gap(counts(mid), n_pairs) > 0:
@@ -770,7 +833,7 @@ def sivf_equidistance_prior_near_oracle(n_pairs: int = 10**6, seed: int = 0) -> 
     """
     _check_n_pairs(n_pairs)
     lo, hi = 0.05, 0.95
-    counts = _prior_counts(_near_oracle_uniforms(n_pairs, seed), lo, hi)
+    counts = _prior_counts(n_pairs, seed, lo, hi)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
         if _near_oracle_gap(counts(mid), n_pairs) > 0:

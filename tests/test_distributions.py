@@ -109,6 +109,12 @@ def test_sample_parts_rejects_an_empty_draw():
         sample_parts(fixed_priors_spec(0.3), 9, 0)
 
 
+def test_sample_parts_rejects_a_non_integer_count_at_the_check():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer") as info:
+        sample_parts(uniform_spec(), 0, 1.5)
+    assert info.traceback[-1].name == "sample_parts"
+
+
 def test_sample_parts_is_the_one_draw_route():
     # objects come from PerformanceSet.from_parts(sample_parts(...)) or its rows
     assert "sample" not in prtradeoff.__all__
