@@ -85,12 +85,10 @@ from .scores import (
     sivf_importance,
 )
 from .tradeoff import (
-    DegeneratePairError,
     OptimalityBreakdown,
     TradeoffReport,
     ZeroDenominatorError,
     analyze_set,
-    crossing_beta_squared,
     equidistance_gap,
     frechet_curve,
     frechet_variance,

@@ -808,18 +808,18 @@ def mc_pencil_optimality(
     _analytic_tau(family)  # rejects families other than pi3 and pi4
     candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
     _check_n_pairs(n_pairs)
+    optimum = optimal_vertex_offset(family)
     rng = _generator(seed)
     points = rng.uniform(0.0, 1.0, (4, n_pairs))  # rows (x1, y1, x2, y2)
     if family == "pi4":
         _redraw_below_diagonal(rng, points[0], points[1])
         _redraw_below_diagonal(rng, points[2], points[3])
-    s_pr, s_re, s_cand, s_star = (
-        _pencil_sign(*points, offset)
-        for offset in (0.0, math.inf, candidate_offset, optimal_vertex_offset(family))
-    )
-    contradictory = s_pr * s_re < 0
-    good = int((contradictory & (s_cand * s_star > 0)).sum())
-    bad_ = int((contradictory & (s_cand * s_star < 0)).sum())
+    # two sign arrays at a time: the mask, then the product, then free the points
+    contradictory = _pencil_sign(*points, 0.0) * _pencil_sign(*points, math.inf) < 0
+    agreement = _pencil_sign(*points, candidate_offset) * _pencil_sign(*points, optimum)
+    del points
+    good = int((contradictory & (agreement > 0)).sum())
+    bad_ = int((contradictory & (agreement < 0)).sum())
     if good + bad_ == 0:
         raise RedrawLimitError("no contradictory pairs drawn")
     return good / (good + bad_)

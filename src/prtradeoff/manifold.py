@@ -39,7 +39,7 @@ class RankingPath:
 
     pset: PerformanceSet
     transition_betas: tuple[float, ...]
-    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items), read-only
+    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items) int32, read-only
     swaps: tuple[int, ...]
 
     @property
@@ -47,8 +47,8 @@ class RankingPath:
         return len(self.ranks)
 
     def ranking(self, k: int) -> Ranking:
-        """The ranking on plateau k."""
-        return Ranking(tuple(self.ranks[k].tolist()))
+        """The ranking on plateau k, a view of its row."""
+        return Ranking(self.ranks[k])
 
     def plateau_of(self, beta):
         """Index of the plateau containing the given beta; an array of betas gives an array."""
@@ -82,7 +82,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     bounds = np.append(starts, crossings.n_crossings)  # plateau k >= 1 swaps bounds[k-1]:bounds[k]
     group = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
 
-    ranks = np.zeros((len(bounds), len(pset)), dtype=np.int64)
+    ranks = np.zeros((len(bounds), len(pset)), dtype=np.int32)
     ranks[0] = r_pr.as_array()
     i, j = crossings.pairs[bounds[0]:].T
     i_first = ranks[0, i] < ranks[0, j]
@@ -132,7 +132,7 @@ def pca_project(
     the corresponding Spearman distances.  Component signs are fixed
     (first nonzero loading positive) to make outputs reproducible.
     """
-    x = np.vstack([path.ranks, *(r.ranks for r in markers.values())], dtype=float)
+    x = np.vstack([path.ranks, *(r.as_array() for r in markers.values())], dtype=float)
     x -= x.mean(axis=0, keepdims=True)
     cov = x.T @ x / max(len(x) - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)

@@ -87,30 +87,49 @@ class PerformanceSet:
         return cls(np.asarray(parts, dtype=float), labels)
 
 
-@dataclass(frozen=True)
 class Ranking:
-    """Vector of integer ranks, aligned with a performance set's items."""
+    """Vector of integer ranks in 1..n, aligned with a performance set's items.
 
-    ranks: tuple[int, ...]
+    The ranks are one read-only int32 array: one given as such is kept,
+    any other integer ranks are copied, and non-integer ranks raise TypeError.
+    """
 
-    def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
-        n = len(ranks)
-        if n == 0:
-            raise ValueError("empty ranking")
-        if any(r < 1 or r > n for r in ranks):
-            raise ValueError(f"ranks must lie in 1..{n}")
-        object.__setattr__(self, "ranks", ranks)
+    def __init__(self, ranks):
+        a = np.asarray(ranks)
+        if a.ndim != 1 or not a.size:
+            raise ValueError(f"ranks must be one non-empty vector, got shape {a.shape}")
+        if a.dtype.kind not in "iu":
+            raise TypeError(f"ranks must be integers, got dtype {a.dtype}")
+        if a.min() < 1 or a.max() > a.size:
+            raise ValueError(f"ranks must lie in 1..{a.size}")
+        if a.dtype != np.int32 or a.flags.writeable:
+            a = a.astype(np.int32)
+            a.flags.writeable = False
+        self._ranks = a
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(self._ranks.tolist())
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return len(self._ranks)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Ranking) and np.array_equal(self._ranks, other._ranks)
+
+    def __hash__(self) -> int:
+        return hash(self._ranks.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Ranking(ranks={self.ranks!r})"
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.ranks)
+        """The read-only int32 rank array itself, not a copy."""
+        return self._ranks
 
     @property
     def has_ties(self) -> bool:
-        return len(set(self.ranks)) != len(self.ranks)
+        return bool(np.bincount(self._ranks).max() > 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +255,7 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
 def ranks_from_values(values: np.ndarray) -> np.ndarray:
     """rank[i] = #{j : values[j] >= values[i] - TIE_TOL} (ties share the worst rank)."""
     v = np.asarray(values, dtype=float)
-    return (v[None, :] - v[:, None] >= -TIE_TOL).sum(axis=1)
+    return (v[None, :] - v[:, None] >= -TIE_TOL).sum(axis=1, dtype=np.int32)
 
 
 def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:
@@ -245,12 +264,9 @@ def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:
     bad = np.flatnonzero(np.isnan(values))
     if bad.size:
         raise UndefinedScoreError(int(bad[0]), score.label())
-    return Ranking(tuple(int(r) for r in ranks_from_values(values)))
-
-
-def _pair_signs(r: Ranking) -> np.ndarray:
-    a = r.as_array()
-    return np.sign(a[:, None] - a[None, :])
+    ranks = ranks_from_values(values)
+    ranks.flags.writeable = False  # the ranking keeps this array as it is
+    return Ranking(ranks)
 
 
 def discordance(r1: Ranking, r2: Ranking) -> tuple[int, int]:
@@ -264,7 +280,8 @@ def discordance(r1: Ranking, r2: Ranking) -> tuple[int, int]:
     n = len(r1)
     if n < 2:
         raise ValueError("need at least 2 items for pairwise statistics")
-    prod = _pair_signs(r1) * _pair_signs(r2)
+    a, b = r1.as_array(), r2.as_array()
+    prod = np.sign(a[:, None] - a) * np.sign(b[:, None] - b)
     discordant = int((np.triu(prod, 1) < 0).sum())
     return discordant, n * (n - 1) // 2
 
@@ -402,5 +419,5 @@ def spearman_distance(r1: Ranking, r2: Ranking) -> float:
     """Euclidean (straight-line) distance between the two rank vectors."""
     if len(r1) != len(r2):
         raise LengthMismatchError(f"rankings of length {len(r1)} and {len(r2)}")
-    diff = r1.as_array() - r2.as_array()
+    diff = np.subtract(r1.as_array(), r2.as_array(), dtype=np.int64)  # int32 squares overflow
     return float(np.sqrt((diff * diff).sum()))

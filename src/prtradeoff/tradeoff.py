@@ -18,14 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .ranking import _BAND, PerformanceSet, _check_betas, _SideCounts, beta_grid, discordance
-from .ranking import pair_crossings, rank_by_score
+from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
     F1,
     PRECISION,
     RECALL,
     SIVF,
     TIE_TOL,
-    Performance,
     ScoreFunction,
     UndefinedScoreError,
     fbeta,
@@ -33,26 +32,8 @@ from .scores import (
 )
 
 
-class DegeneratePairError(ValueError):
-    """Two performances that every F-score puts on an equal footing."""
-
-
 class ZeroDenominatorError(ZeroDivisionError):
     pass
-
-
-def crossing_beta_squared(p1: Performance, p2: Performance) -> float | None:
-    """The beta^2 at which the two performances get equal F-scores.
-
-    Returns None when no such finite beta exists: either the ratio is
-    negative (the pair is ordered the same way by precision and recall,
-    so no F-score can reverse it) or only recall equalizes them.  Raises
-    DegeneratePairError when the pair is tied under every F-score.
-    """
-    summary = pair_crossings(PerformanceSet((p1, p2)))
-    if summary.degenerate_pairs:
-        raise DegeneratePairError("pair is equivalent under every F-score")
-    return float(summary.thetas[0]) if summary.n_crossings else None
 
 
 def optimal_beta(pset: PerformanceSet) -> tuple[float | None, np.ndarray]:

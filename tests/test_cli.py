@@ -216,13 +216,14 @@ def test_manifold_command(tmp_path):
 
 
 def test_manifold_reads_the_path_in_place(tmp_path):
-    # 200 uniform ROC points: about 4900 plateaus, a 7.8 MB rank matrix.  The
-    # path's own matrix plus PCA's one float matrix come to 2.4 times its
-    # size; a further copy of it (the trajectories, an int64 stack) exceeds the bound.
+    # 200 uniform ROC points: about 4900 plateaus, about 10^6 rank entries.
+    # The path's own int32 matrix plus PCA's one float matrix come to 12
+    # bytes an entry, about 13.8 with the rest; one more int32 copy of the
+    # ranks exceeds the bound.
     fpr, tpr = np.random.default_rng(0).uniform(size=(2, 200))
     csv_path = tmp_path / "roc200.csv"
     csv_path.write_text("fpr,tpr\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(fpr.tolist(), tpr.tolist())))
-    nbytes = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).ranks.nbytes
+    entries = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).ranks.size
     argv = ["manifold", "--input", str(csv_path), "--prior", "0.5", "--out", str(tmp_path / "out")]
     tracemalloc.start()
     try:
@@ -230,7 +231,7 @@ def test_manifold_reads_the_path_in_place(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * nbytes
+    assert peak <= 16 * entries
 
 
 def _reference_manifold_csvs(path, comment_line):

@@ -204,8 +204,10 @@ def test_path_holds_one_read_only_copy_of_its_ranks():
         "pset", "transition_betas", "ranks", "swaps"
     ]
     path = build_path(random_pset(65, 10))
+    assert path.ranks.dtype == np.int32
     with pytest.raises(ValueError):
         path.ranks[0, 0] = 1
+    assert np.shares_memory(path.ranking(1).as_array(), path.ranks)
     traj = rank_trajectories(path)
     assert np.shares_memory(traj, path.ranks)
     with pytest.raises(ValueError):

@@ -150,6 +150,53 @@ def test_ranking_validation():
         Ranking((1, 2, 4))
     with pytest.raises(ValueError):
         Ranking(())
+    with pytest.raises(ValueError):
+        Ranking(((1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "ranks", [(1.5, 2.0), (1.0, 2.0), ("1", "2"), (True, True), (1, None)], ids=repr
+)
+def test_ranking_rejects_non_integer_ranks(ranks):
+    # as with ``operator.index``, no float, str or bool passes for an integer
+    with pytest.raises(TypeError):
+        Ranking(ranks)
+
+
+def test_ranking_is_one_read_only_int32_array():
+    r = Ranking((2, 1, 3))
+    a = r.as_array()
+    assert a is r.as_array()
+    assert a.dtype == np.int32 and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 1
+    assert r.ranks == (2, 1, 3) and all(type(x) is int for x in r.ranks)
+    assert r == Ranking(np.array([2, 1, 3], dtype=np.uint8))
+    assert hash(r) == hash(Ranking([2, 1, 3]))
+    assert r != Ranking((1, 2, 3)) and r != Ranking((1, 2))
+    assert repr(r) == "Ranking(ranks=(2, 1, 3))"
+    # a caller's writeable array is copied, so changing it later changes nothing
+    mine = np.array([1, 2], dtype=np.int32)
+    r2 = Ranking(mine)
+    mine[0] = 2
+    assert r2.ranks == (1, 2)
+    values = np.array([0.9, 0.5, 0.7])
+    assert ranks_from_values(values).dtype == np.int32
+    assert rank_by_score(pset_with_precision(values), PRECISION).as_array().dtype == np.int32
+
+
+def test_has_ties():
+    assert not Ranking((3, 1, 2)).has_ties
+    assert Ranking((1, 3, 3)).has_ties
+    assert Ranking((2, 2)).has_ties
+    assert not Ranking((1,)).has_ties
+
+
+def test_spearman_distance_does_not_overflow():
+    # |rank difference| exceeds 46340 here, where an int32 square overflows
+    n = 50_000
+    identity, reversed_ = Ranking(np.arange(1, n + 1)), Ranking(np.arange(n, 0, -1))
+    assert spearman_distance(identity, reversed_) == math.sqrt((n**3 - n) // 3)
 
 
 def test_performance_set_basics():

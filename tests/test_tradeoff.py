@@ -10,13 +10,11 @@ from prtradeoff import (
     F1,
     PRECISION,
     RECALL,
-    DegeneratePairError,
     Performance,
     PerformanceSet,
     TradeoffReport,
     ZeroDenominatorError,
     analyze_set,
-    crossing_beta_squared,
     discordance,
     equidistance_gap,
     evaluate,
@@ -51,10 +49,15 @@ def exact_crossing(p1, p2):
     return -num / den
 
 
+def pair_summary(p1, p2):
+    return pair_crossings(PerformanceSet((p1, p2)))
+
+
 def test_crossing_fp_fn_swap_symmetry():
     p1 = Performance(0.25, 0.25, 0.25, 0.25)
     p2 = Performance(0.25, 0.15, 0.35, 0.25)
-    assert crossing_beta_squared(p1, p2) == pytest.approx(1.0)
+    summary = pair_summary(p1, p2)
+    assert summary.thetas.tolist() == pytest.approx([1.0])
     assert evaluate(F1, p1) == pytest.approx(0.5)
     assert evaluate(F1, p2) == pytest.approx(0.5)
 
@@ -63,7 +66,8 @@ def test_crossing_negative_ratio_is_none():
     p1 = Performance(0.25, 0.25, 0.25, 0.25)
     p2 = Performance(0.4, 0.2, 0.1, 0.3)
     assert exact_crossing(p1, p2) == Fraction(-1, 2)
-    assert crossing_beta_squared(p1, p2) is None
+    summary = pair_summary(p1, p2)
+    assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (0, 1, 0)
 
 
 def test_crossing_unanimous_pair_is_none():
@@ -72,13 +76,14 @@ def test_crossing_unanimous_pair_is_none():
     p2 = Performance(0.25, 0.20, 0.20, 0.35)
     assert evaluate(PRECISION, p1) > evaluate(PRECISION, p2)
     assert evaluate(RECALL, p1) > evaluate(RECALL, p2)
-    assert crossing_beta_squared(p1, p2) is None
+    summary = pair_summary(p1, p2)
+    assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (0, 1, 0)
 
 
-def test_crossing_degenerate_pair_raises():
+def test_crossing_degenerate_pair_is_counted():
     p = Performance(0.3, 0.2, 0.3, 0.2)
-    with pytest.raises(DegeneratePairError):
-        crossing_beta_squared(p, p)
+    summary = pair_summary(p, p)
+    assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (0, 0, 1)
 
 
 def test_crossing_symmetric_in_arguments():
@@ -86,9 +91,9 @@ def test_crossing_symmetric_in_arguments():
     for _ in range(200):
         e = rng.standard_exponential((2, 4))
         p1, p2 = (Performance(*row) for row in e)
-        a = crossing_beta_squared(p1, p2)
-        b = crossing_beta_squared(p2, p1)
-        assert (a is None and b is None) or a == b
+        a, b = pair_summary(p1, p2), pair_summary(p2, p1)
+        assert a.thetas.tolist() == b.thetas.tolist()
+        assert (a.degenerate_pairs, a.unanimous_pairs) == (b.degenerate_pairs, b.unanimous_pairs)
 
 
 def test_crossing_equalizes_the_fscores():
@@ -97,11 +102,11 @@ def test_crossing_equalizes_the_fscores():
     while found < 100:
         e = rng.standard_exponential((2, 4))
         p1, p2 = (Performance(*row) for row in e)
-        theta = crossing_beta_squared(p1, p2)
-        if theta is None or theta == 0:
+        thetas = pair_summary(p1, p2).thetas
+        if not thetas.size or thetas[0] == 0:
             continue
         found += 1
-        beta = math.sqrt(theta)
+        beta = math.sqrt(thetas[0])
         assert abs(evaluate(fbeta(beta), p1) - evaluate(fbeta(beta), p2)) <= 1e-12
 
 
