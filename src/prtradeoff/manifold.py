@@ -84,7 +84,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
 
     ranks = np.zeros((len(bounds), len(pset)), dtype=np.int32)
     ranks[0] = r_pr.as_array()
-    i, j = crossings.pairs[bounds[0]:].T
+    i, j = crossings.pairs.T
     i_first = ranks[0, i] < ranks[0, j]
     ahead, behind = np.where(i_first, i, j), np.where(i_first, j, i)
     np.add.at(ranks, (group, ahead), 1)
@@ -98,7 +98,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
         pset=pset,
         transition_betas=tuple(np.sqrt(crossings.thetas[starts]).tolist()),
         ranks=ranks,
-        swaps=tuple((bounds - bounds[0]).tolist()),
+        swaps=tuple(bounds.tolist()),
     )
 
 

@@ -86,6 +86,13 @@ class PerformanceSet:
         """The set of the rows of an (n, 4) array of cell values, each normalized by its total."""
         return cls(np.asarray(parts, dtype=float), labels)
 
+    def __getstate__(self):  # a copy keeps the rows bit for bit and derives its caches anew
+        return {"parts": self.parts, "labels": self.labels}
+
+    def __setstate__(self, state):
+        state["parts"].setflags(write=False)
+        self.__dict__.update(state)
+
 
 class Ranking:
     """Vector of integer ranks in 1..n, aligned with a performance set's items.
@@ -123,6 +130,9 @@ class Ranking:
     def __repr__(self) -> str:
         return f"Ranking(ranks={self.ranks!r})"
 
+    def __reduce__(self):
+        return Ranking, (self._ranks,)
+
     def as_array(self) -> np.ndarray:
         """The read-only int32 rank array itself, not a copy."""
         return self._ranks
@@ -134,16 +144,16 @@ class Ranking:
 
 @dataclass(frozen=True, eq=False)
 class CrossingSummary:
-    """All pairwise F-score crossing values of a set, with exclusion counters.
+    """F-score crossing values of the pairs precision and recall order oppositely, with exclusion counters.
 
     Row k of ``pairs`` holds the item indices (i < j) of the pair that
     crosses at ``thetas[k]``.  Both arrays are read-only: a set shares them.
     The path's plateaus and the optimal tradeoff are read from them.
     """
 
-    thetas: np.ndarray = field(repr=False)  # float64, sorted, >= 0
+    thetas: np.ndarray = field(repr=False)  # float64, sorted, > 0
     degenerate_pairs: int      # pairs tied under every F-score (excluded)
-    unanimous_pairs: int       # pairs with no finite equalizing beta
+    unanimous_pairs: int       # neither degenerate nor contradicted: precision and recall agree, or one of them ties the pair
     pairs: np.ndarray = field(repr=False)
 
     @property
@@ -168,12 +178,11 @@ class CrossingSummary:
     def transitions(self) -> np.ndarray:
         """Read-only indices into ``thetas`` of the crossings that open a plateau.
 
-        A positive crossing joins the current group, one transition of the
+        A crossing joins the current group, one transition of the
         ranking, when it lies within TIE_TOL of the group's first crossing.
         Only crossings within TIE_TOL of their predecessor need that test.
         """
-        first = int(np.searchsorted(self.thetas, 0.0, "right"))  # thetas are sorted and >= 0
-        ts = self.thetas[first:]
+        ts = self.thetas
         opens = np.ones(len(ts), dtype=bool)
         opens[1:] = np.diff(ts) > TIE_TOL
         close = np.flatnonzero(~opens)
@@ -185,15 +194,14 @@ class CrossingSummary:
                 opens[k] = True
                 head = t
             last = k
-        out = np.flatnonzero(opens) + first
+        out = np.flatnonzero(opens)
         out.flags.writeable = False
         return out
 
     @property
     def coalesced(self) -> bool:
-        """Whether some transition groups several positive crossings."""
-        starts = self.transitions
-        return bool(len(starts)) and len(starts) < self.n_crossings - int(starts[0])
+        """Whether some transition groups several crossings."""
+        return len(self.transitions) < self.n_crossings
 
 
 def beta_grid(grid_points: int, grid_span: tuple[float, float], extra) -> np.ndarray:
@@ -217,7 +225,7 @@ def _check_betas(betas) -> np.ndarray:
 
 
 def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
-    """All crossings of the set, computed anew; ``pset.crossings`` keeps one summary per set."""
+    """The crossings of the set's contradicted pairs, computed anew; ``pset.crossings`` keeps one summary per set."""
     parts = pset.parts
     n = len(pset)
     if n < 2:
@@ -226,18 +234,15 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     iu, ju = np.triu_indices(n, 1)
     num = tp[iu] * fp[ju] - tp[ju] * fp[iu]
     den = tp[iu] * fn[ju] - tp[ju] * fn[iu]
-    degenerate = (num == 0) & (den == 0)
-    n_deg = int(degenerate.sum())
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(den != 0, -num / den, np.inf)
+        theta = -num / den  # den == 0 gives NaN for a degenerate pair (num == 0 too), else +-inf
     # the temporaries are O(n^2): release each as soon as it is used
     del num, den
-    crossing = np.flatnonzero(~degenerate & np.isfinite(theta) & (theta >= 0))
-    del degenerate
+    n_deg = int(np.isnan(theta).sum())
+    crossing = np.flatnonzero((theta > 0) & (theta < np.inf))
     theta = theta[crossing]
     order = np.argsort(theta)
-    theta = theta[order] + 0.0  # + 0.0 normalizes -0.0
-    crossing = crossing[order]
+    theta, crossing = theta[order], crossing[order]
     del order
     pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
     pairs[:, 0] = iu[crossing]

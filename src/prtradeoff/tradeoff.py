@@ -39,11 +39,11 @@ class ZeroDenominatorError(ZeroDivisionError):
 def optimal_beta(pset: PerformanceSet) -> tuple[float | None, np.ndarray]:
     """Median crossing value (the optimal beta^2) and the sorted crossings.
 
-    The crossings are the set's own read-only array
-    (``pset.crossings.thetas``), not a copy.  Returns None and an empty
-    array when precision and recall already agree on every pair, in which
-    case every beta is optimal.  Degenerate pairs are excluded from the
-    median pool; their count is available through ``pset.crossings``.
+    The median pool is the set's own read-only ``pset.crossings.thetas``,
+    not a copy: one crossing per pair that precision and recall order
+    oppositely.  Returns None and an empty array when there is none, in
+    which case every beta is optimal.  The excluded pairs, degenerate or
+    unanimous, are counted in ``pset.crossings``.
     """
     summary = pset.crossings
     return summary.beta_star_squared, summary.thetas
@@ -132,8 +132,7 @@ def frechet_curve(
     The transitions and the counts come from the set's cached crossings.
     """
     if betas is None:
-        thetas = pset.crossings.thetas
-        roots = np.sqrt(thetas[thetas > 0])
+        roots = np.sqrt(pset.crossings.thetas)
         mids = np.sqrt(roots[:-1] * roots[1:])
         betas = beta_grid(grid_points, grid_span, np.concatenate([roots, mids, 2.0 * roots[-1:]]))
     d1, d2 = (d / pset.total_pairs for d in _side_counts(pset, betas))

@@ -49,7 +49,7 @@ def direct_variance(pset, beta):
 
 def probe_betas(pset):
     """0, every transition root, and the geometric midpoints between and past them."""
-    roots = sorted({math.sqrt(t) for t in pair_crossings(pset).thetas if t > 0})
+    roots = sorted({math.sqrt(t) for t in pair_crossings(pset).thetas})
     mids = [math.sqrt(a * b) for a, b in zip(roots, roots[1:])]
     return [0.0, *roots, *mids, *(2.0 * r for r in roots[-1:])]
 

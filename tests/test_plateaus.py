@@ -1,6 +1,6 @@
 """The plateau structure read from a set's sorted crossing array, against the code it replaced.
 
-``CrossingSummary.transitions`` groups the positive crossings with array
+``CrossingSummary.transitions`` groups the crossings with array
 operations and decides only the close ones one at a time;
 ``beta_star_interval`` and ``beta_star_squared`` read the two middle
 crossings in place; ``beta_grid`` builds every probe grid with one
@@ -44,33 +44,30 @@ BASES = (1e-12, 1e-3, 0.5, 1.0, 7.0)
 def sequential_groups(thetas):
     """The grouping loop ``build_path`` ran over every crossing.
 
-    Returns the index of the first positive crossing, the first value of
-    each group, and each positive crossing's group number (from 1).
+    Returns the first value of each group, and each crossing's group
+    number (from 1).
     """
-    first = int(np.searchsorted(thetas, 0.0, "right"))
     unique, group = [], []
-    for t in np.asarray(thetas)[first:].tolist():
+    for t in np.asarray(thetas).tolist():
         if not unique or t - unique[-1] > TIE_TOL:
             unique.append(t)
         group.append(len(unique))
-    return first, unique, group
+    return unique, group
 
 
 def oracle_transitions(thetas):
-    first, _, group = sequential_groups(thetas)
-    return [first + g for g in range(len(group)) if g == 0 or group[g] != group[g - 1]]
+    _, group = sequential_groups(thetas)
+    return [g for g in range(len(group)) if g == 0 or group[g] != group[g - 1]]
 
 
 def oracle_swaps(thetas):
-    _, unique, group = sequential_groups(thetas)
+    unique, group = sequential_groups(thetas)
     return tuple(np.cumsum(np.bincount(np.array(group, dtype=int), minlength=len(unique) + 1)).tolist())
 
 
 def oracle_coalesced(thetas):
     """The neighbour-difference rule ``CrossingSummary.coalesced`` used."""
-    ts = np.asarray(thetas)
-    ts = ts[ts > 0]
-    return bool((np.diff(ts) <= TIE_TOL).any())
+    return bool((np.diff(thetas) <= TIE_TOL).any())
 
 
 def oracle_interval(thetas):
@@ -83,10 +80,9 @@ def oracle_interval(thetas):
     return (ts[m // 2 - 1], ts[m // 2])
 
 
-def clustered(base, gaps, zeros=0):
-    """Sorted crossing values: ``zeros`` zeros, then base plus the running sum of the gaps (none without a base)."""
-    positive = [] if base is None else base + np.cumsum([0.0, *gaps])
-    ts = np.concatenate([np.zeros(zeros), positive])
+def clustered(base, gaps):
+    """Sorted crossing values: base plus the running sum of the gaps (none without a base)."""
+    ts = np.array([] if base is None else base + np.cumsum([0.0, *gaps]))
     ts.flags.writeable = False
     return ts
 
@@ -103,10 +99,9 @@ def hexes(values):
 @given(
     st.one_of(st.none(), st.sampled_from(BASES)),
     st.lists(st.sampled_from(GAPS), max_size=40),
-    st.integers(0, 3),
 )
-def test_transitions_match_the_sequential_grouping(base, gaps, zeros):
-    thetas = clustered(base, gaps, zeros)
+def test_transitions_match_the_sequential_grouping(base, gaps):
+    thetas = clustered(base, gaps)
     summary = summary_of(thetas)
     assert summary.transitions.tolist() == oracle_transitions(thetas)
     assert summary.coalesced == oracle_coalesced(thetas)
@@ -143,7 +138,7 @@ def test_the_path_groups_its_swaps_like_the_sequential_loop(seed, n, base, data)
     thetas = clustered(base, gaps)
     pset.__dict__["crossings"] = dataclasses.replace(pset.crossings, thetas=thetas)
     path = build_path(pset)
-    _, unique, _ = sequential_groups(thetas)
+    unique, _ = sequential_groups(thetas)
     assert path.transition_betas == tuple(math.sqrt(t) for t in unique)
     assert path.swaps == oracle_swaps(thetas)
     assert pset.crossings.coalesced == oracle_coalesced(thetas)
@@ -153,8 +148,7 @@ def test_the_path_groups_its_swaps_like_the_sequential_loop(seed, n, base, data)
 def old_frechet_grid(pset, grid_points, grid_span):
     bs = set(np.geomspace(grid_span[0], grid_span[1], grid_points))
     bs.add(0.0)
-    thetas = pset.crossings.thetas
-    roots = np.sqrt(thetas[thetas > 0]).tolist()
+    roots = np.sqrt(pset.crossings.thetas).tolist()
     bs.update(roots)
     bs.update(math.sqrt(a * b) for a, b in zip(roots, roots[1:]))
     if roots:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from prtradeoff import (
     uniform_spec,
     sample_parts,
 )
+from prtradeoff.scores import normalize_parts
 
 
 def pset_with_precision(values):
@@ -221,3 +224,22 @@ def test_performance_set_basics():
             PerformanceSet.from_parts(np.ones(shape))
     with pytest.raises(ValueError, match="empty performance set"):
         PerformanceSet.from_parts(np.ones((0, 4)))
+
+
+@pytest.mark.parametrize(
+    "copier", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_keep_the_rows_bit_for_bit_and_every_array_read_only(copier):
+    pset = PerformanceSet.from_parts(sample_parts(uniform_spec(), 18, 300), [f"m{k}" for k in range(300)])
+    # normalizing these rows again would move some of them
+    assert (normalize_parts(pset.parts) != pset.parts).any()
+    crossings, (r_pr, r_re) = pset.crossings, pset.endpoint_rankings
+    twin = copier(pset)
+    assert twin.parts.tobytes() == pset.parts.tobytes() and twin.labels == pset.labels
+    assert twin.crossings.thetas.tobytes() == crossings.thetas.tobytes()
+    assert twin.endpoint_rankings == (r_pr, r_re)
+    arrays = [twin.parts, twin.crossings.thetas, twin.crossings.pairs, *(r.as_array() for r in twin.endpoint_rankings)]
+    assert not any(a.flags.writeable for a in arrays)
+    ranking = copier(r_pr)
+    assert ranking == r_pr
+    assert ranking.as_array().dtype == np.int32 and not ranking.as_array().flags.writeable

@@ -80,6 +80,27 @@ def test_crossing_unanimous_pair_is_none():
     assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (0, 1, 0)
 
 
+def test_crossing_pair_tied_under_precision_or_recall_is_unanimous():
+    # equal precision, and (mirrored) equal recall: F orders the pair as the
+    # other endpoint does at every beta, so neither endpoint contradicts it
+    p1 = Performance(0.25, 0.25, 0.25, 0.25)
+    p2 = Performance(0.4, 0.1, 0.4, 0.1)
+    assert evaluate(PRECISION, p1) == evaluate(PRECISION, p2)
+    assert evaluate(RECALL, p1) > evaluate(RECALL, p2)
+    for q1, q2 in ((p1, p2), (p1, Performance(0.4, 0.4, 0.1, 0.1))):
+        summary = pair_summary(q1, q2)
+        assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (0, 1, 0)
+
+
+def test_a_pair_tied_under_precision_stays_out_of_the_median_pool():
+    # items 0 and 1 share precision 2/3; three of the other five pairs are contradicted
+    pset = PerformanceSet.from_parts([[10, 2, 3, 4], [10, 4, 5, 8], [10, 3, 9, 5], [10, 7, 2, 6]])
+    summary = pset.crossings
+    assert (summary.n_crossings, summary.unanimous_pairs, summary.degenerate_pairs) == (3, 3, 0)
+    assert summary.beta_star_squared == pytest.approx(1.6, rel=1e-14)
+    assert analyze_set(pset).equidistance_gap == 0
+
+
 def test_crossing_degenerate_pair_is_counted():
     p = Performance(0.3, 0.2, 0.3, 0.2)
     summary = pair_summary(p, p)
@@ -103,7 +124,7 @@ def test_crossing_equalizes_the_fscores():
         e = rng.standard_exponential((2, 4))
         p1, p2 = (Performance(*row) for row in e)
         thetas = pair_summary(p1, p2).thetas
-        if not thetas.size or thetas[0] == 0:
+        if not thetas.size:
             continue
         found += 1
         beta = math.sqrt(thetas[0])
