@@ -29,7 +29,6 @@ same bit for bit whatever the number of threads, and nothing sets it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -40,12 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ranking import _SideCounts
-from .scores import ScoreFunction, TIE_TOL, _check_prior_pos, roc_columns, score_columns
+from .scores import _BAND, ScoreFunction, TIE_TOL, _check_prior_pos, roc_columns, score_columns
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
-_BLOCK = 1 << 16  # pairs per Monte Carlo block, and per block of the pi5 searches
+_BLOCK = 1 << 16  # pairs per Monte Carlo block
 _MAX_REDRAW_ROUNDS = 60
 _REDRAW_FRACTION = 0.01
 
@@ -532,27 +530,29 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 #
 # On the frozen pairs each side of the gap is a count: A pairs ordered by
 # the F-score against precision, B against recall.  A pair changes sides
-# only at its breakpoints in the probed variable, so both searches sort
-# the breakpoints once (``_SideCounts``) and count them at each probe
-# instead of evaluating every pair again.  A pair with a breakpoint inside
-# a band around the probe, and every ill-conditioned pair at every probe,
-# is decided by the float sign expressions of a full pass
+# only at its breakpoints in the probed variable, and every later probe
+# of a bisection lies inside the current bracket.  So each step splits
+# the pairs still live (``_near_oracle_bisection``): a pair without a
+# breakpoint in the bracket, widened by ``2 _BAND (1 + end)``, keeps one
+# state over it, adds that state to a fixed base and is never read
+# again.  The live pairs, and every ill-conditioned pair, are decided at
+# the probe by the float sign expressions of a full pass
 # (``_discordant``), so every probe sees exactly a full pass's counts.
 #
 # The frozen pairs are the columns of one (4, n) array of uniform draws,
-# but no search holds it: each reads it ``_BLOCK`` pairs at a time from
-# the Philox stream (``_near_oracle_window``) and keeps only what the
-# kernel needs, its breakpoints near the probed range and the irregular
-# pairs' uniforms.  A pair with a breakpoint in a probe's band is read
-# again by its position in the stream, once (``_PairReader``).
+# but no search holds it: the first step reads it ``_WINDOW`` pairs at a
+# time from the Philox stream (``_near_oracle_window``), and each later
+# step reads only the uniforms of the pairs the step before kept live.
 # ---------------------------------------------------------------------------
 
 # Pairs whose slope, leading coefficient or discriminant is below this in
-# magnitude are decided directly at every probe: their breakpoints are
-# unstable or their signs barely leave zero.  For every other pair the
-# float signs of a full pass can disagree with its exact breakpoints only
-# within about 1e-9 of them, far inside the kernel's band.
+# magnitude stay live through a whole search and are decided directly at
+# every probe: their breakpoints are unstable or their signs barely leave
+# zero.  For every other pair the float signs of a full pass can disagree
+# with its exact breakpoints only within about 1e-9 of them, far inside
+# the band by which each bracket is widened.
 _ILL_CONDITIONED = 1e-5
+_WINDOW = 1 << 14  # frozen pairs per window read from the stream, and per kept piece
 
 
 def _pencil_sign(x1, y1, x2, y2, offset) -> np.ndarray:
@@ -594,45 +594,9 @@ def _near_oracle_window(n_pairs: int, seed: int, first: int, stop: int) -> np.nd
 
 
 def _near_oracle_blocks(n_pairs: int, seed: int):
-    """(first, uniforms) of each window of ``_BLOCK`` frozen pairs, in order."""
-    for first in range(0, n_pairs, _BLOCK):
-        yield first, _near_oracle_window(n_pairs, seed, first, min(first + _BLOCK, n_pairs))
-
-
-class _PairReader:
-    """Any frozen pairs' uniforms, for a kernel's ``direct`` decisions.
-
-    It holds the pairs handed to ``keep`` (the irregular ones, decided at
-    every probe).  Any other pair asked for (one with a breakpoint in a
-    probe's band) is read again by its position in the stream, then held
-    too: the probes of a bisection close in on the same few pairs.  It
-    holds no reference to the kernel, so a kernel is freed as soon as it is
-    dropped.
-    """
-
-    def __init__(self, n_pairs: int, seed: int):
-        self.n_pairs, self.seed = n_pairs, seed
-        self.ids = np.empty(0, np.int64)  # ascending
-        self.uniforms = np.empty((4, 0))
-
-    def keep(self, ids, uniforms) -> None:
-        ids = np.concatenate([self.ids, ids])
-        order = np.argsort(ids, kind="stable")
-        self.ids = ids[order]
-        self.uniforms = np.concatenate([self.uniforms, uniforms], axis=1)[:, order]
-
-    def __call__(self, ids) -> np.ndarray:
-        """(4, len(ids)) uniforms of pairs ``ids``."""
-        at = np.searchsorted(self.ids, ids)
-        missing = at == self.ids.size
-        missing[~missing] = self.ids[at[~missing]] != ids[~missing]
-        if missing.any():
-            others = np.unique(ids[missing]).tolist()
-            self.keep(others, np.concatenate(
-                [_near_oracle_window(self.n_pairs, self.seed, i, i + 1) for i in others], axis=1
-            ))
-            at = np.searchsorted(self.ids, ids)
-        return self.uniforms[:, at]
+    """The uniforms of each window of ``_WINDOW`` frozen pairs, in order."""
+    for first in range(0, n_pairs, _WINDOW):
+        yield _near_oracle_window(n_pairs, seed, first, min(first + _WINDOW, n_pairs))
 
 
 def _near_oracle_points(uniforms, prior_pos: float):
@@ -655,111 +619,70 @@ def _tau(discordant, n_pairs: int) -> float:
 
 
 def _near_oracle_sides(n_pairs: int, seed: int, prior_pos: float, offset: float) -> tuple[float, float]:
-    """(tau(Pr, F), tau(F, Re)) under pi5 on the frozen pairs, read and counted ``_BLOCK`` pairs at a time."""
+    """(tau(Pr, F), tau(F, Re)) under pi5 on the frozen pairs, read and counted ``_WINDOW`` pairs at a time."""
     a = b = 0
-    for _, uniforms in _near_oracle_blocks(n_pairs, seed):
+    for uniforms in _near_oracle_blocks(n_pairs, seed):
         in_a, in_b = _discordant(_near_oracle_points(uniforms, prior_pos), offset)
         a += np.count_nonzero(in_a)
         b += np.count_nonzero(in_b)
     return _tau(a, n_pairs), _tau(b, n_pairs)
 
 
-def _near_oracle_gap(counts, n_pairs: int) -> float:
-    """tau(Pr, F) - tau(F, Re) from the discordant counts [A, B]."""
-    return _tau(counts[0], n_pairs) - _tau(counts[1], n_pairs)
+def _popping(pieces: list):
+    """The pieces, each dropped from the list as it is read."""
+    while pieces:
+        yield pieces.pop()
 
 
-def _offset_counts(n_pairs: int, seed: int, prior_pos: float, lo: float, hi: float) -> _SideCounts:
-    """[A, B] at any vertex offset in (lo, hi), at a fixed prior, on the frozen pairs.
+def _near_oracle_bisection(
+    n_pairs: int, seed: int, lo: float, hi: float, steps: int, middle, split, decide, rising: bool
+) -> float:
+    """Bisection on the equidistance gap over the frozen pairs, reading only the pairs still live.
 
-    Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
-    once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
-    above it in A.  The sample median of these crossings equalizes the
-    sides, which is the median theorem at the level of pairs.  The
-    breakpoints are built ``_BLOCK`` pairs at a time.
+    Each step probes ``middle(lo, hi)``.  ``split(u, left, right)`` takes
+    the uniforms ``u`` of some pairs and the bracket widened to [left,
+    right]; it returns which pairs stay live (the ill-conditioned ones and
+    those with a breakpoint in [left, right]) and the (A, B) counts of
+    the others, whose state is the same at every point of [left, right].
+    Those counts join a fixed base; ``decide(u, probe)`` flags the live
+    pairs in A and in B.  The first step reads the pairs from the stream,
+    each later one the live pieces the step before kept, merged into
+    pieces of at least ``_WINDOW`` pairs.  A positive gap raises ``lo`` when ``rising`` and
+    lowers ``hi`` when not.  ValueError when the gap keeps one sign over
+    the whole bracket, so that one end never moves.
     """
-    pairs = _PairReader(n_pairs, seed)
-
-    def block(first, uniforms):
-        x1, y1, x2, y2 = _near_oracle_points(uniforms, prior_pos)
-        slope = y1 - y2
-        ill = np.flatnonzero(np.abs(slope) < _ILL_CONDITIONED)
-        irregular = first + ill
-        pairs.keep(irregular, uniforms[:, ill])
-        live = np.flatnonzero((slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0))
-        ell = (y2[live] * x1[live] - y1[live] * x2[live]) / slope[live]
-        passed = ell <= 0
-        start = np.stack([passed, ~passed]).astype(np.int8)
-        jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
-        return irregular, (first + live).astype(np.int32), start, [(ell, jumps)]
-
-    def direct(probes, k, ids):
-        return _discordant(_near_oracle_points(pairs(ids), prior_pos), probes[k])
-
-    # each block's temporaries are freed before the next block is read
-    return _SideCounts(direct, itertools.starmap(block, _near_oracle_blocks(n_pairs, seed)), lo, hi)
-
-
-def _prior_counts(n_pairs: int, seed: int, lo: float, hi: float) -> _SideCounts:
-    """[A, B] at any prior in (lo, hi), for the offset-1 (skew-insensitive) score, on the frozen pairs.
-
-    With a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision and
-    F orders of a pair at prior p are the signs of g(p) = b + (a - b) p and
-    h(p) = p g(p) + (1 - p) c, and recall's is the sign of c.  So
-    A = [g < 0 < h] and B = [h < 0 < c], and only pairs with c > 0 count.
-    Their breakpoints are the root of g and the real roots of h.  In (0, 1)
-    g < 0 at every root of h and h > 0 at the root of g, so each root's
-    jump follows from the sign of a - b alone, and the roots come in the
-    order r1 < r2 < root of g when a - b > 0, and the reverse when not.
-    The breakpoints are built ``_BLOCK`` pairs at a time.
-    """
-    pairs = _PairReader(n_pairs, seed)
-
-    def block(first, uniforms):
-        live = np.flatnonzero(uniforms[1] - uniforms[3] > -_ILL_CONDITIONED)
-        uniforms = uniforms[:, live]
-        ids = (first + live).astype(np.int32)
-        ux, uy, vx, vy = uniforms
-        c = uy - vy
-        b = uy * vx - vy * ux
-        lead = (vx - ux) - b
-        del ux, uy, vx, vy  # the block's temporaries are freed as soon as they are used
-        q = b - c
-        disc = q * q - 4.0 * lead * c
-        ill = (
-            (c < _ILL_CONDITIONED)
-            | (np.abs(lead) < _ILL_CONDITIONED)
-            | (np.abs(disc) < _ILL_CONDITIONED)
+    bracket = (lo, hi)
+    base = np.zeros(2, np.int64)
+    pieces = _near_oracle_blocks(n_pairs, seed)
+    for _ in range(steps):
+        mid = middle(lo, hi)
+        left, right = lo - 2.0 * _BAND * (1.0 + lo), hi + 2.0 * _BAND * (1.0 + hi)
+        live = np.zeros(2, np.int64)
+        kept, held, size = [], [], 0
+        for u in pieces:
+            keep, leaving = split(u, left, right)
+            base += leaving
+            u = np.compress(keep, u, axis=1)
+            live += [np.count_nonzero(flags) for flags in decide(u, mid)]
+            held.append(u)
+            size += u.shape[1]
+            if size >= _WINDOW:
+                kept.append(np.concatenate(held, axis=1))
+                held, size = [], 0
+        if held:
+            kept.append(np.concatenate(held, axis=1))
+        pieces = _popping(kept)
+        a, b = (base + live).tolist()
+        if (_tau(a, n_pairs) - _tau(b, n_pairs) > 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    if lo == bracket[0] or hi == bracket[1]:
+        raise ValueError(
+            f"the equidistance gap keeps one sign over the bracket [{bracket[0]:g}, {bracket[1]:g}] "
+            f"on {n_pairs} sampled pairs; sample more pairs"
         )
-        pairs.keep(ids[ill], uniforms[:, ill])
-        del uniforms
-        lead[ill] = np.nan  # no breakpoints: these pairs are decided directly
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
-            del q, disc
-            r1, r2 = w / lead, c / w
-            r1, r2 = np.minimum(r1, r2), np.maximum(r1, r2)
-            g_root = -b / lead
-            up = lead > 0
-        del w, b, c, lead
-        sign = np.where(up, 1, -1).astype(np.int8)
-        start = np.stack([(g_root > 0) == up, np.zeros_like(up)]).astype(np.int8)
-        start[:, ill] = 0
-        at_g = np.stack([-sign, np.zeros_like(sign)])
-        at_r1 = np.stack([-sign, sign])
-        at_r2 = -at_r1
-        slots = [
-            (np.where(up, r1, g_root), np.where(up, at_r1, at_g)),
-            (np.where(up, r2, r1), np.where(up, at_r2, at_r1)),
-            (np.where(up, g_root, r2), np.where(up, at_g, at_r2)),
-        ]
-        return ids[ill], ids, start, slots
-
-    def direct(probes, k, ids):
-        return _discordant(_near_oracle_points(pairs(ids), probes[k]), 1.0)
-
-    # each block's temporaries are freed before the next block is read
-    return _SideCounts(direct, itertools.starmap(block, _near_oracle_blocks(n_pairs, seed)), lo, hi)
+    return middle(lo, hi)
 
 
 def mc_tau_sides_near_oracle(
@@ -775,18 +698,34 @@ def mc_tau_sides_near_oracle(
 def mc_optimal_vertex_offset_near_oracle(
     prior_pos: float, n_pairs: int = 10**6, seed: int = 0
 ) -> float:
-    """Vertex offset equalizing the two correlation sides under pi5."""
+    """Vertex offset equalizing the two correlation sides under pi5.
+
+    Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
+    once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
+    above it in A.  The sample median of these crossings equalizes the
+    sides, which is the median theorem at the level of pairs.  A positive
+    gap means the score is too close to precision: the offset goes up.
+    ValueError when the gap keeps one sign over [1e-4, 100].
+    """
     p = _check_prior_pos(prior_pos)
     _check_n_pairs(n_pairs)
-    lo, hi = 1e-4, 100.0
-    counts = _offset_counts(n_pairs, seed, p, lo, hi)
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        if _near_oracle_gap(counts(mid), n_pairs) > 0:
-            lo = mid  # too close to precision: increase the offset
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+
+    def split(u, left, right):
+        x1, y1, x2, y2 = _near_oracle_points(u, p)
+        slope = y1 - y2
+        crossing = (slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell = (y2 * x1 - y1 * x2) / slope
+        in_a, in_b = crossing & (ell < left), crossing & (ell > right)
+        keep = (np.abs(slope) < _ILL_CONDITIONED) | (crossing & ~in_a & ~in_b)
+        return keep, (np.count_nonzero(in_a), np.count_nonzero(in_b))
+
+    def decide(u, offset):
+        return _discordant(_near_oracle_points(u, p), offset)
+
+    return _near_oracle_bisection(
+        n_pairs, seed, 1e-4, 100.0, 60, lambda lo, hi: math.sqrt(lo * hi), split, decide, rising=True
+    )
 
 
 def mc_pencil_optimality(
@@ -829,15 +768,40 @@ def sivf_equidistance_prior_near_oracle(n_pairs: int = 10**6, seed: int = 0) -> 
     """The positive prior at which the skew-insensitive F-score is the pi5 optimum.
 
     The skew-insensitive score has vertex offset 1 at every prior; this
-    finds the prior whose optimal offset is 1 (about 0.561).
+    finds the prior whose optimal offset is 1 (about 0.561).  With
+    a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision and F
+    orders of a pair at prior p are the signs of g(p) = b + (a - b) p and
+    h(p) = p g(p) + (1 - p) c, and recall's is the sign of c.  So
+    A = [g < 0 < h] and B = [h < 0 < c], and only pairs with c > 0 count.
+    Their breakpoints are the root of g and the real roots of h.
+    ValueError when the gap keeps one sign over [0.05, 0.95].
     """
     _check_n_pairs(n_pairs)
-    lo, hi = 0.05, 0.95
-    counts = _prior_counts(n_pairs, seed, lo, hi)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if _near_oracle_gap(counts(mid), n_pairs) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+
+    def split(u, left, right):
+        ux, uy, vx, vy = u
+        c = uy - vy
+        b = uy * vx - vy * ux
+        lead = (vx - ux) - b
+        q = b - c
+        disc = q * q - 4.0 * lead * c
+        keep = (np.abs(c) < _ILL_CONDITIONED) | (np.abs(lead) < _ILL_CONDITIONED)
+        keep |= np.abs(disc) < _ILL_CONDITIONED
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
+            for root in (-b / lead, w / lead, c / w):
+                keep |= (root >= left) & (root <= right)
+        keep &= c > -_ILL_CONDITIONED
+        mid = 0.5 * (left + right)
+        g = b + lead * mid
+        h = mid * g + (1.0 - mid) * c
+        in_a = ~keep & (g < 0) & (h > 0)
+        in_b = ~keep & (h < 0) & (c > 0)
+        return keep, (np.count_nonzero(in_a), np.count_nonzero(in_b))
+
+    def decide(u, prior):
+        return _discordant(_near_oracle_points(u, prior), 1.0)
+
+    return _near_oracle_bisection(
+        n_pairs, seed, 0.05, 0.95, 50, lambda lo, hi: 0.5 * (lo + hi), split, decide, rising=False
+    )

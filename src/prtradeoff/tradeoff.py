@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import _BAND, PerformanceSet, _check_betas, _SideCounts, beta_grid, discordance
+from .ranking import PerformanceSet, _check_betas, beta_grid, discordance
 from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
+    _BAND,
     F1,
     PRECISION,
     RECALL,
@@ -68,6 +69,10 @@ def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarra
     return 2.0 * TIE_TOL * s[i] * s[j] / den + theta_error / (1.0 + theta)
 
 
+# Most (beta, pair) combinations decided directly at once: bounds memory.
+_COMBOS = 1 << 18
+
+
 def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta.
 
@@ -75,12 +80,15 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     one is decided by comparing its own two F-scores under TIE_TOL, as a
     ranking would; counting makes that cheap.  A pair that precision and
     recall order strictly oppositely keeps the precision order below its
-    theta and takes the recall order above it: its one breakpoint, in
-    beta^2, for ``_SideCounts``.  Pairs that tie under precision or recall
-    or whose tie slack does not fit twice in the band are irregular: they
-    are compared directly at every probe.
+    theta and takes the recall order above it, so the regular thetas
+    below beta^2 - band count in d_pr and those above beta^2 + band in
+    d_re: two ``searchsorted`` calls on the sorted crossings.  The pairs
+    with theta inside the band, and the irregular pairs (those that tie
+    under precision or recall, or whose tie slack does not fit twice in
+    the band), are compared directly, ``_COMBOS`` (beta, pair)
+    combinations at a time.
     """
-    betas = _check_betas(betas)
+    betas = _check_betas(betas).reshape(-1)
     with np.errstate(over="ignore"):
         b2 = betas * betas
     # a finite beta whose square overflows leaves every F-score undefined
@@ -96,19 +104,31 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         regular = (s_pr * s_re < 0) & (_tie_slack(parts, i, j, theta) <= _BAND / 2)
     reg = np.flatnonzero(regular)
-    # below theta the F order is precision's, so the pair is in B; above it, in A
-    start = np.array([[0], [1]], np.int8).repeat(len(reg), axis=1)
-    jumps = np.broadcast_to(np.array([[1], [-1]], np.int8), start.shape)
-
-    def direct(probes, k, pair):
+    band = np.where(np.isinf(b2), 0.0, _BAND * (1.0 + b2))
+    k0 = np.searchsorted(theta[reg], b2 - band, "left")
+    k1 = np.searchsorted(theta[reg], b2 + band, "right")
+    d_pr, d_re = k0.copy(), len(reg) - k1
+    # beta k decides pairs[k0[k]:k1[k]] and then the irregular pairs of
+    # ``pairs``; its combinations are first[k] .. first[k] + width[k] - 1
+    pairs = np.concatenate([reg, np.flatnonzero(~regular)])
+    width = k1 - k0 + (len(pairs) - len(reg))
+    ends = np.cumsum(width)
+    first = ends - width
+    start = 0
+    while start < len(b2):
+        stop = max(start + 1, int(np.searchsorted(ends, first[start] + _COMBOS, "right")))
+        k = np.repeat(np.arange(start, stop), width[start:stop])
+        at = np.arange(len(k)) + first[start] - first[k]  # place among beta k's combinations
+        in_band = k1[k] - k0[k]
+        at += np.where(at < in_band, k0[k], len(reg) - in_band)
+        pair = pairs[at]
+        del at, in_band  # the chunk's temporaries are freed before the F-scores are formed
         b = betas[k]  # beta itself: the F-scores square it on their own
         gap = fbeta_values(parts[i[pair]], b) - fbeta_values(parts[j[pair]], b)
         s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
-        return s_pr[pair] * s_f < 0, s_f * s_re[pair] < 0
-
-    block = (np.flatnonzero(~regular), reg, start, [(theta[reg], jumps)])
-    counts = _SideCounts(direct, [block], 0.0, math.inf)
-    d_pr, d_re = counts(b2)
+        d_pr[start:stop] += np.bincount(k[s_pr[pair] * s_f < 0] - start, minlength=stop - start)
+        d_re[start:stop] += np.bincount(k[s_f * s_re[pair] < 0] - start, minlength=stop - start)
+        start = stop
     return d_pr, d_re
 
 

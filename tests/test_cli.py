@@ -202,6 +202,16 @@ def test_failing_sweep_writes_nothing(tmp_path, family):
     assert not out.exists()
 
 
+def test_sweep_pi5_on_too_few_pairs_exits_2_and_writes_nothing(tmp_path, capsys):
+    # on 3 pairs the equidistance gap keeps its sign over the searched
+    # bracket: no offset equalizes the sides, so none is reported
+    out = tmp_path / "out"
+    argv = ["sweep", "--family", "pi5", "--param", "0.3", "--pairs", "3", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "sample more pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifold_command(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["manifold", "--input", str(FIXTURE), "--out", str(out)]) == 0

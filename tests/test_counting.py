@@ -9,6 +9,7 @@ itself.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from prtradeoff import (
     rank_trajectories,
     UndefinedScoreError,
 )
+from prtradeoff import tradeoff
 
 
 def direct_sides(pset, beta):
@@ -195,3 +197,33 @@ def test_overflowing_beta_fails_like_direct_ranking():
     with pytest.raises(UndefinedScoreError):
         frechet_variance(pset, 1e200)
     assert frechet_variance(pset, math.inf) == direct_variance(pset, math.inf)
+
+
+@pytest.mark.parametrize("combos", [1, 5, 64])
+def test_direct_decisions_in_small_chunks_match_direct_reranking(combos, monkeypatch):
+    # small integer cells give coincident crossings (9 of 32 repeat one)
+    # and pairs whose precisions tie (4 irregular pairs); the probes on a
+    # crossing and the irregular pairs are decided a few (beta, pair)
+    # combinations at a time
+    monkeypatch.setattr(tradeoff, "_COMBOS", combos)
+    pset = PerformanceSet.from_parts(np.random.default_rng(0).integers(1, 5, (24, 4)))
+    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3]):
+        assert v == direct_variance(pset, b)
+    for t in [0.0, *pair_crossings(pset).thetas]:
+        d1, d2 = direct_sides(pset, math.sqrt(t))
+        assert equidistance_gap(pset, t) == Fraction(abs(d1 - d2), pset.total_pairs)
+
+
+def test_direct_decisions_stay_bounded_in_memory():
+    # 300 items with integer cells in 1..6: hundreds of irregular pairs,
+    # each decided at each of the curve's 2172 betas.  Deciding every
+    # (beta, pair) combination at once peaked at 82 MB, ``_COMBOS`` at a
+    # time at 34 MB.
+    pset = PerformanceSet.from_parts(np.random.default_rng(1).integers(1, 7, (300, 4)))
+    tracemalloc.start()
+    try:
+        frechet_curve(pset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 10**6

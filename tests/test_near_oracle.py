@@ -1,16 +1,16 @@
-"""The near-oracle searches count sorted breakpoints; a full pass over every pair is the oracle.
+"""The near-oracle searches keep only the pairs still live in their bracket; a full pass over every pair is the oracle.
 
 ``_full_pass_discordant`` and the two bisections below are copies of the
 implementation that evaluated every frozen pair at every probe, run on
 the whole (4, n) array of uniforms, which the searches themselves only
-read a window or a pair at a time.  The counted searches must return
-exactly the same floats, and the counting kernels must return exactly
-the full pass's counts at any probe, including probes on and next to a
-breakpoint.  Uniforms quantized to multiples of 1/16 force coincident
-points, pairs with c = uy - vy = 0, linear and double-rooted h, and
-breakpoints exactly on dyadic probes such as the first prior probe 0.5;
-nudging some of them by 2**-30 makes the same cases nearly, not exactly,
-degenerate.  The searches read those through their one reading function,
+read a window at a time.  The searches must return exactly the same
+floats, and at every probe they must count exactly the full pass's
+(A, B), also at a probe exactly on a breakpoint.  Uniforms
+quantized to multiples of 1/16 force coincident points, pairs with
+c = uy - vy = 0, linear and double-rooted h, and breakpoints exactly on
+dyadic probes such as the first prior probe 0.5; nudging some of them by
+2**-30 makes the same cases nearly, not exactly, degenerate.  The
+searches read those through their one reading function,
 ``_near_oracle_window``.
 """
 
@@ -39,27 +39,32 @@ def _full_pass_discordant(uniforms, prior, offset):
     return (s_pr < 0) & (s_f > 0), (s_f < 0) & (s_re > 0)
 
 
-def _full_pass_gap(uniforms, prior, offset):
+def _full_pass_gap(uniforms, prior, offset, trace):
     a, b = _full_pass_discordant(uniforms, prior, offset)
+    trace.append((int(np.count_nonzero(a)), int(np.count_nonzero(b))))
     return float(1.0 - 4.0 * np.mean(a)) - float(1.0 - 4.0 * np.mean(b))
 
 
-def _full_pass_offset(uniforms, prior):
+def _full_pass_offset(uniforms, prior, trace=None):
+    """The offset bisection; ``trace`` collects its (A, B) at each probe."""
+    trace = [] if trace is None else trace
     lo, hi = 1e-4, 100.0
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        if _full_pass_gap(uniforms, prior, mid) > 0:
+        if _full_pass_gap(uniforms, prior, mid, trace) > 0:
             lo = mid
         else:
             hi = mid
     return math.sqrt(lo * hi)
 
 
-def _full_pass_prior(uniforms):
+def _full_pass_prior(uniforms, trace=None):
+    """The prior bisection; ``trace`` collects its (A, B) at each probe."""
+    trace = [] if trace is None else trace
     lo, hi = 0.05, 0.95
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if _full_pass_gap(uniforms, mid, 1.0) > 0:
+        if _full_pass_gap(uniforms, mid, 1.0, trace) > 0:
             hi = mid
         else:
             lo = mid
@@ -93,14 +98,6 @@ def _read_from(draw, monkeypatch):
         )
 
 
-def _probes(values, lo, hi, grid):
-    """Every breakpoint, its two float neighbours, and a grid, inside (lo, hi)."""
-    probes = np.concatenate(
-        [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf), grid]
-    )
-    return [float(x) for x in probes if lo < x < hi]
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_searches_equal_full_pass_bisection(seed):
     n = 2000 + 400 * seed
@@ -125,50 +122,69 @@ def test_searches_equal_full_pass_bisection_on_quantized_uniforms(seed, monkeypa
 DRAWS = pytest.mark.parametrize("draw", [_uniform, _quantized], ids=["uniform", "quantized"])
 
 
-@DRAWS
-@pytest.mark.parametrize("seed", range(3))
-def test_counts_equal_full_pass_at_and_around_every_breakpoint(draw, seed, monkeypatch):
-    _read_from(draw, monkeypatch)
-    uniforms = draw(1500, seed)
+def _counted_probes(monkeypatch):
+    """The (A, B) counts the searches turn into taus, in call order, once ``_tau`` is watched."""
+    seen = []
+    tau = dist._tau
+    monkeypatch.setattr(dist, "_tau", lambda discordant, n: seen.append(int(discordant)) or tau(discordant, n))
+    return seen
 
-    def full(prior, offset):
-        return [int(np.count_nonzero(side)) for side in _full_pass_discordant(uniforms, prior, offset)]
 
-    counts = dist._prior_counts(1500, seed, 0.05, 0.95)
-    if draw is _quantized:
-        assert counts.irregular.size > 0  # zero leading coefficients and double roots
-    grid = np.concatenate([np.linspace(0.05, 0.95, 91), np.arange(1, 64) / 64])
-    for prior in _probes(counts.values, 0.05, 0.95, grid):
-        assert counts(prior).tolist() == full(prior, 1.0), prior
-
-    grid = np.concatenate([np.geomspace(1e-4, 100.0, 61), np.arange(1, 64) / 16])
-    for prior in PRIORS:
-        counts = dist._offset_counts(1500, seed, prior, 1e-4, 100.0)
-        for offset in _probes(counts.values, 1e-4, 100.0, grid):
-            assert counts(offset).tolist() == full(prior, offset), (prior, offset)
+# quantized draws on which the first prior probe, 0.5, is exactly a breakpoint of a counted pair
+ON_BREAKPOINT = (800, 3)
 
 
 @DRAWS
-@pytest.mark.parametrize("seed", range(2))
-def test_batched_counts_equal_scalar_counts(draw, seed, monkeypatch):
+@pytest.mark.parametrize("n, seed", [(1500, 0), (1500, 1), ON_BREAKPOINT])
+@pytest.mark.parametrize("window", [97, 1 << 14])
+def test_counts_equal_full_pass_at_every_probe(draw, n, seed, window, monkeypatch):
     _read_from(draw, monkeypatch)
-    kernels = [(dist._prior_counts(1500, seed, 0.05, 0.95), 0.05, 0.95, np.linspace(0.05, 0.95, 91))]
-    kernels += [
-        (dist._offset_counts(1500, seed, prior, 1e-4, 100.0), 1e-4, 100.0, np.geomspace(1e-4, 100.0, 61))
+    monkeypatch.setattr(dist, "_WINDOW", window)
+    uniforms = draw(n, seed)
+    if draw is _quantized and (n, seed) == ON_BREAKPOINT:
+        ux, uy, vx, vy = uniforms
+        x1, y1, x2, y2 = 0.5 * ux, 0.5 + 0.5 * uy, 0.5 * vx, 0.5 + 0.5 * vy
+        on = (y1 * x2 - y2 * x1 == 0) | (y1 * (x2 + 1.0) - y2 * (x1 + 1.0) == 0)
+        assert np.any(on & (uy > vy))
+    searches = [(lambda: dist.sivf_equidistance_prior_near_oracle(n, seed), lambda t: _full_pass_prior(uniforms, t))]
+    searches += [
+        (
+            functools.partial(dist.mc_optimal_vertex_offset_near_oracle, prior, n, seed),
+            functools.partial(_full_pass_offset, uniforms, prior),
+        )
         for prior in PRIORS
     ]
-    for counts, lo, hi, grid in kernels:
-        probes = _probes(counts.values, lo, hi, grid)
-        batched = counts(np.array(probes))
-        assert batched.shape == (2, len(probes))
-        assert batched.T.tolist() == [counts(x).tolist() for x in probes]
+    seen = _counted_probes(monkeypatch)
+    for search, full_pass in searches:
+        seen.clear()
+        got = search()
+        want = []
+        assert got == full_pass(want)
+        assert list(zip(seen[::2], seen[1::2])) == want
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: dist.sivf_equidistance_prior_near_oracle(3, 0),
+        lambda: dist.mc_optimal_vertex_offset_near_oracle(0.1, 3, 0),
+        lambda: dist.mc_optimal_vertex_offset_near_oracle(0.3, 3, 0),
+    ],
+    ids=["prior", "offset-0.1", "offset-0.3"],
+)
+def test_a_gap_that_keeps_its_sign_is_an_error_not_a_bracket_end(search):
+    # on 3 pairs the gap has one sign over the whole bracket: a bisection
+    # would report the bracket's end (0.95, 1e-4) as the optimum
+    with pytest.raises(ValueError, match=r"keeps one sign over the bracket \[.+\] on 3 sampled pairs; sample more"):
+        search()
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 65535, 65537, 3 * 65536 + 3])
 def test_windows_are_the_columns_of_the_whole_draw(n):
-    # every window edge at and next to a row end, a Philox step and a block
+    # every window edge at and next to a row end, a Philox step and a window
     whole = _uniform(n, 7)
-    edges = {0, 1, 2, 3, 4, 5, n // 2, 65535, 65536, 65537, n - 3, n - 1, n}
+    w = dist._WINDOW
+    edges = {0, 1, 2, 3, 4, 5, n // 2, w - 1, w, w + 1, 65535, 65536, 65537, n - 3, n - 1, n}
     edges = sorted(e for e in edges if 0 <= e <= n)
     rng = np.random.default_rng(n)
     windows = [(a, b) for a in edges for b in edges if a < b]
@@ -176,31 +192,8 @@ def test_windows_are_the_columns_of_the_whole_draw(n):
     for first, stop in windows:
         assert np.array_equal(dist._near_oracle_window(n, 7, first, stop), whole[:, first:stop]), (first, stop)
     blocks = list(dist._near_oracle_blocks(n, 7))
-    assert [first for first, _ in blocks] == list(range(0, n, dist._BLOCK))
-    assert np.array_equal(np.concatenate([u for _, u in blocks], axis=1), whole)
-
-
-@pytest.mark.parametrize("n", [1, 5, 70_000])
-def test_pair_reader_rereads_any_pair_by_position(n, monkeypatch):
-    whole = _uniform(n, 4)
-    rng = np.random.default_rng(n)
-    ids = rng.integers(0, n, 300)  # with repeats
-    assert np.array_equal(dist._PairReader(n, 4)(ids), whole[:, ids])
-    # kept pairs are read from what was kept, every other pair from the stream once
-    pairs = dist._PairReader(n, 4)
-    kept = np.unique(rng.integers(0, n, 5))
-    pairs.keep(kept, np.zeros((4, kept.size)))
-    reads = []
-    window = dist._near_oracle_window
-    monkeypatch.setattr(dist, "_near_oracle_window", lambda *args: reads.append(args) or window(*args))
-    want = whole[:, ids]
-    want[:, np.isin(ids, kept)] = 0.0
-    fresh = sorted(set(ids.tolist()) - set(kept.tolist()))
-    assert np.array_equal(pairs(ids), want)
-    assert sorted(first for _, _, first, _ in reads) == fresh
-    assert np.array_equal(pairs(ids[::-1]), want[:, ::-1])
-    assert len(reads) == len(fresh)
-    assert pairs(ids[:0]).shape == (4, 0)
+    assert [u.shape[1] for u in blocks] == [min(w, n - first) for first in range(0, n, w)]
+    assert np.array_equal(np.concatenate(blocks, axis=1), whole)
 
 
 def test_sides_equal_full_pass():
@@ -212,15 +205,6 @@ def test_sides_equal_full_pass():
             assert dist.mc_tau_sides_near_oracle(prior, offset, 5000, 8) == want
 
 
-KERNEL_ARRAYS = ("values", "pairs", "before", "cum", "base", "irregular")
-
-
-def _kernels(n, seed):
-    return [dist._prior_counts(n, seed, 0.05, 0.95)] + [
-        dist._offset_counts(n, seed, prior, 1e-4, 100.0) for prior in PRIORS
-    ]
-
-
 def _searches(n, seed):
     return [dist.sivf_equidistance_prior_near_oracle(n, seed)] + [
         dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed) for prior in PRIORS
@@ -229,20 +213,16 @@ def _searches(n, seed):
 
 @DRAWS
 @pytest.mark.parametrize(
-    "block, n",
+    "window, n",
     [(1, 1500), (1000, 70_000), (1 << 16, 70_000), (70_001, 70_000)],
     ids=["1", "1000", "2**16", "above-n"],
 )
-def test_building_in_blocks_changes_nothing(draw, block, n, monkeypatch):
+def test_building_in_blocks_changes_nothing(draw, window, n, monkeypatch):
     _read_from(draw, monkeypatch)
-    monkeypatch.setattr(dist, "_BLOCK", n)
-    whole, whole_results = _kernels(n, 5), _searches(n, 5)
-    monkeypatch.setattr(dist, "_BLOCK", block)
-    for got, want in zip(_kernels(n, 5), whole):
-        for name in KERNEL_ARRAYS:
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and np.array_equal(g, w), name
-    assert _searches(n, 5) == whole_results
+    monkeypatch.setattr(dist, "_WINDOW", n)
+    whole = _searches(n, 5)
+    monkeypatch.setattr(dist, "_WINDOW", window)
+    assert _searches(n, 5) == whole
 
 
 def test_prior_search_holds_few_per_pair_temporaries():
@@ -275,7 +255,9 @@ MILLION_PAIR_SEARCHES = pytest.mark.parametrize(
 def test_searches_hold_under_half_the_frozen_uniforms(search):
     # The four frozen uniforms are 32 bytes a pair.  Held as one (4, n)
     # array, the three searches peaked at 1.34, 1.21 and 1.14 times their
-    # size at 10**6 pairs; read block by block, at 0.37, 0.27 and 0.20.
+    # size at 10**6 pairs; read block by block into sorted breakpoints, at
+    # 0.37, 0.27 and 0.20; read a window at a time and kept only while
+    # live, at 0.30, 0.22 and 0.05.
     tracemalloc.start()
     try:
         search()
@@ -287,8 +269,8 @@ def test_searches_hold_under_half_the_frozen_uniforms(search):
 
 @MILLION_PAIR_SEARCHES
 def test_searches_free_their_memory_without_the_cycle_collector(search):
-    # a kernel's ``direct`` must not refer back to the kernel: such a cycle
-    # would keep each search's breakpoints until the collector ran
+    # nothing a search keeps live may sit in a reference cycle: the cycle
+    # would hold its kept pairs until the collector ran
     gc.collect()
     gc.disable()
     tracemalloc.start()
