@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import _BAND, ScoreFunction, TIE_TOL, _check_prior_pos, roc_columns, score_columns
+from .scores import ScoreFunction, TIE_TOL, _check_prior_pos, roc_columns, score_columns
 
 FAMILIES = ("pi1", "pi2", "pi3", "pi4", "pi5")
 
@@ -545,6 +545,11 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 # step reads only the uniforms of the pairs the step before kept live.
 # ---------------------------------------------------------------------------
 
+# Each bisection step widens its bracket end x by 2 _BAND (1 + x) before
+# it splits the pairs, so a pair whose breakpoint lies just outside the
+# bracket stays live and is decided directly at the probe.  The band sets
+# only how much work goes to those direct decisions, never a result.
+_BAND = 1e-6
 # Pairs whose slope, leading coefficient or discriminant is below this in
 # magnitude stay live through a whole search and are decided directly at
 # every probe: their breakpoints are unstable or their signs barely leave

@@ -18,12 +18,6 @@ import numpy as np
 # Absolute tolerance used everywhere two score values are compared for a tie.
 TIE_TOL = 1e-12
 
-# Half-width, relative to 1 + x, of the band around a probe x within which
-# a pair's breakpoint has it decided directly by its own scores (and by
-# which the pi5 bisections widen their brackets).  It sets only how much
-# work goes to those direct decisions, never a result.
-_BAND = 1e-6
-
 _SIMPLEX_TOL = 1e-12
 
 KINDS = ("precision", "recall", "fbeta", "sivf", "fpr", "tnr", "iou")

@@ -28,7 +28,8 @@ SCORE_PAIRS = (
     ("sivf", "recall", SIVF, RECALL),
 )
 
-# vertex offsets at which pi3 and pi4 check the closed forms by Monte Carlo
+# vertex offsets at which pi3 and pi4 check the closed forms by Monte Carlo;
+# 0.61585 is pi3's optimal_vertex_offset (0.6158497...) rounded to 5 places
 _MC_OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
 
 

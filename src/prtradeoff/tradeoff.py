@@ -20,7 +20,6 @@ import numpy as np
 from .ranking import PerformanceSet, _check_betas, beta_grid, discordance
 from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
-    _BAND,
     F1,
     PRECISION,
     RECALL,
@@ -76,17 +75,15 @@ _COMBOS = 1 << 18
 def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta.
 
-    Only a crossing pair can be discordant with either endpoint.  Each
-    one is decided by comparing its own two F-scores under TIE_TOL, as a
-    ranking would; counting makes that cheap.  A pair that precision and
-    recall order strictly oppositely keeps the precision order below its
-    theta and takes the recall order above it, so the regular thetas
-    below beta^2 - band count in d_pr and those above beta^2 + band in
-    d_re: two ``searchsorted`` calls on the sorted crossings.  The pairs
-    with theta inside the band, and the irregular pairs (those that tie
-    under precision or recall, or whose tie slack does not fit twice in
-    the band), are compared directly, ``_COMBOS`` (beta, pair)
-    combinations at a time.
+    Only a crossing pair can be discordant with either endpoint, and each
+    is decided by its own two F-scores under TIE_TOL, as a ranking would.
+    Outside its tie window, |x - theta| <= c (1 + x) with c from
+    ``_tie_slack``, that decision at beta^2 = x is fixed: the F order is
+    sign(num) below theta and -sign(num) above it.  So two
+    ``searchsorted`` calls place every pair's window ends among the
+    sorted probes, and each side counts the fixed states with one
+    difference array.  Only the probes inside a pair's window decide it
+    directly, ``_COMBOS`` (probe, pair) combinations at a time.
     """
     betas = _check_betas(betas).reshape(-1)
     with np.errstate(over="ignore"):
@@ -101,35 +98,38 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     theta = pset.crossings.thetas
     s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where item i is ahead
     s_re = np.sign(r_re[j] - r_re[i])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        regular = (s_pr * s_re < 0) & (_tie_slack(parts, i, j, theta) <= _BAND / 2)
-    reg = np.flatnonzero(regular)
-    band = np.where(np.isinf(b2), 0.0, _BAND * (1.0 + b2))
-    k0 = np.searchsorted(theta[reg], b2 - band, "left")
-    k1 = np.searchsorted(theta[reg], b2 + band, "right")
-    d_pr, d_re = k0.copy(), len(reg) - k1
-    # beta k decides pairs[k0[k]:k1[k]] and then the irregular pairs of
-    # ``pairs``; its combinations are first[k] .. first[k] + width[k] - 1
-    pairs = np.concatenate([reg, np.flatnonzero(~regular)])
-    width = k1 - k0 + (len(pairs) - len(reg))
-    ends = np.cumsum(width)
-    first = ends - width
-    start = 0
-    while start < len(b2):
-        stop = max(start + 1, int(np.searchsorted(ends, first[start] + _COMBOS, "right")))
-        k = np.repeat(np.arange(start, stop), width[start:stop])
-        at = np.arange(len(k)) + first[start] - first[k]  # place among beta k's combinations
-        in_band = k1[k] - k0[k]
-        at += np.where(at < in_band, k0[k], len(reg) - in_band)
-        pair = pairs[at]
-        del at, in_band  # the chunk's temporaries are freed before the F-scores are formed
-        b = betas[k]  # beta itself: the F-scores square it on their own
+    tn, fp, fn, tp = parts.T
+    s_num = np.sign(tp[i] * fp[j] - tp[j] * fp[i])  # pair_crossings' num: the F order below theta
+    c = _tie_slack(parts, i, j, theta)
+    with np.errstate(divide="ignore"):
+        hi = np.where(c < 1.0, (theta + c) / (1.0 - c), np.inf)
+    # the distinct probes in order: an F-score reads beta only through beta^2
+    x, at, back = np.unique(b2, return_index=True, return_inverse=True)
+    first = np.searchsorted(x, (theta - c) / (1.0 + c), "left")  # probes below the window
+    stop = np.searchsorted(x, hi, "right")  # probes from stop on are above it
+
+    def fixed(s: np.ndarray) -> np.ndarray:  # per probe, the pairs fixed against the order s
+        below, above = s * s_num < 0, s * s_num > 0
+        diff = np.bincount(stop[above], minlength=len(x) + 1) - np.bincount(first[below], minlength=len(x) + 1)
+        return np.count_nonzero(below) + np.cumsum(diff[: len(x)])
+
+    d_pr, d_re = fixed(s_pr), fixed(s_re)
+    # the (probe, pair) combinations inside the windows, pair after pair:
+    # combination t < ends[g] belongs to pair live[g]
+    live = np.flatnonzero(stop > first)
+    ends = np.cumsum(stop[live] - first[live])
+    for start in range(0, ends[-1] if len(ends) else 0, _COMBOS):
+        t = np.arange(start, min(start + _COMBOS, ends[-1]))
+        g = np.searchsorted(ends, t, "right")
+        pair = live[g]
+        k = stop[pair] - (ends[g] - t)  # the probe
+        del t, g  # the chunk's temporaries are freed before the F-scores are formed
+        b = betas[at[k]]  # beta itself: the F-scores square it on their own
         gap = fbeta_values(parts[i[pair]], b) - fbeta_values(parts[j[pair]], b)
         s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
-        d_pr[start:stop] += np.bincount(k[s_pr[pair] * s_f < 0] - start, minlength=stop - start)
-        d_re[start:stop] += np.bincount(k[s_f * s_re[pair] < 0] - start, minlength=stop - start)
-        start = stop
-    return d_pr, d_re
+        d_pr += np.bincount(k[s_pr[pair] * s_f < 0], minlength=len(x))
+        d_re += np.bincount(k[s_f * s_re[pair] < 0], minlength=len(x))
+    return d_pr[back], d_re[back]
 
 
 def frechet_variance(pset: PerformanceSet, beta: float) -> float:

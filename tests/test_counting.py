@@ -33,6 +33,7 @@ from prtradeoff import (
     UndefinedScoreError,
 )
 from prtradeoff import tradeoff
+from prtradeoff.scores import fbeta_values
 
 
 def direct_sides(pset, beta):
@@ -54,6 +55,20 @@ def probe_betas(pset):
     roots = sorted({math.sqrt(t) for t in pair_crossings(pset).thetas})
     mids = [math.sqrt(a * b) for a, b in zip(roots, roots[1:])]
     return [0.0, *roots, *mids, *(2.0 * r for r in roots[-1:])]
+
+
+def window_edges(pset):
+    """Each crossing pair's tie-window ends as betas, with their float neighbours.
+
+    The window is |x - theta| <= c (1 + x), c = ``tradeoff._tie_slack``;
+    a pair is decided by its own F-scores inside it and counted outside.
+    """
+    theta = pset.crossings.thetas
+    i, j = pset.crossings.pairs.T
+    c = tradeoff._tie_slack(pset.parts, i, j, theta)
+    ends = np.concatenate([(theta - c) / (1.0 + c), (theta + c)[c < 1.0] / (1.0 - c[c < 1.0])])
+    b = np.sqrt(ends[ends >= 0.0])
+    return np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)]).tolist()
 
 
 def dense_grid_plateaus(pset, path):
@@ -130,7 +145,7 @@ def test_counting_on_sets_with_ties_matches_direct_reranking(rows):
     # precision and recall must be defined; ties and degenerate pairs are welcome
     assume(all(fp + tp > 0 and fn + tp > 0 for _, fp, fn, tp in rows))
     pset = PerformanceSet.from_parts(rows)
-    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3]):
+    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3] + window_edges(pset)):
         assert v == direct_variance(pset, b)
     for t in [0.0, *pair_crossings(pset).thetas]:
         d1, d2 = direct_sides(pset, math.sqrt(t))
@@ -202,12 +217,12 @@ def test_overflowing_beta_fails_like_direct_ranking():
 @pytest.mark.parametrize("combos", [1, 5, 64])
 def test_direct_decisions_in_small_chunks_match_direct_reranking(combos, monkeypatch):
     # small integer cells give coincident crossings (9 of 32 repeat one)
-    # and pairs whose precisions tie (4 irregular pairs); the probes on a
-    # crossing and the irregular pairs are decided a few (beta, pair)
-    # combinations at a time
+    # and 4 pairs that precision or recall ties, whose tie windows reach 0
+    # or inf; the probes inside each window, its ends and their neighbours
+    # among them, are decided a few (beta, pair) combinations at a time
     monkeypatch.setattr(tradeoff, "_COMBOS", combos)
     pset = PerformanceSet.from_parts(np.random.default_rng(0).integers(1, 5, (24, 4)))
-    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3]):
+    for b, v in frechet_curve(pset, betas=probe_betas(pset) + [0.37, 1.0, 3.3] + window_edges(pset)):
         assert v == direct_variance(pset, b)
     for t in [0.0, *pair_crossings(pset).thetas]:
         d1, d2 = direct_sides(pset, math.sqrt(t))
@@ -215,10 +230,11 @@ def test_direct_decisions_in_small_chunks_match_direct_reranking(combos, monkeyp
 
 
 def test_direct_decisions_stay_bounded_in_memory():
-    # 300 items with integer cells in 1..6: hundreds of irregular pairs,
-    # each decided at each of the curve's 2172 betas.  Deciding every
-    # (beta, pair) combination at once peaked at 82 MB, ``_COMBOS`` at a
-    # time at 34 MB.
+    # 300 items with integer cells in 1..6: the curve's 2172 betas fall
+    # inside tie windows 193,649 times, one chunk of direct decisions.  The
+    # curve peaked at 22.8 MB (21.4 MB with the crossings already cached);
+    # deciding the ill-conditioned pairs at every beta took 1,529,088 rows
+    # and peaked at 33.7 MB, and deciding every combination at once at 82 MB.
     pset = PerformanceSet.from_parts(np.random.default_rng(1).integers(1, 7, (300, 4)))
     tracemalloc.start()
     try:
@@ -226,4 +242,21 @@ def test_direct_decisions_stay_bounded_in_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 10**6
+    assert peak <= 30 * 10**6
+
+
+def test_pairs_are_decided_directly_only_inside_their_tie_windows(monkeypatch):
+    # uniform ROC at n=2000 has B = 972,244 probes and m = 486,101
+    # crossings; each direct decision passes two rows to fbeta_values.
+    # Deciding each pair only inside its own tie window takes 972,238 rows;
+    # deciding the ill-conditioned pairs at every probe took 24,118,442.
+    rows = []
+
+    def counted(parts, beta):
+        rows.append(len(parts))
+        return fbeta_values(parts, beta)
+
+    monkeypatch.setattr(tradeoff, "fbeta_values", counted)
+    pset = roc_pset(np.random.default_rng(0).uniform(size=(2000, 2)))
+    curve = frechet_curve(pset)
+    assert sum(rows) <= 2 * (len(curve) + pset.crossings.n_crossings)

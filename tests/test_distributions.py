@@ -524,6 +524,11 @@ def test_optimal_vertex_offset_constants():
         optimal_vertex_offset("pi1")
 
 
+def test_mc_offsets_hold_pi3s_optimum_rounded():
+    # mc_validation probes pi3 (and pi4) at a fixed 5-place copy of pi3's optimum
+    assert studies._MC_OFFSETS[2] == round(optimal_vertex_offset("pi3"), 5)
+
+
 def test_f1_equidistance_prior():
     for family, tau in (("pi3", analytic_tau_fixed_priors), ("pi4", analytic_tau_above_no_skill)):
         p = f1_equidistance_prior(family)
