@@ -144,14 +144,14 @@ def _write_manifold_files(out: Path, path, pca, comments) -> None:
     # rounded, so s / total is float(Fraction(s, total)).
     # rank_trajectories.csv has n_items x n_plateaus rows.  It is written one
     # item at a time, and each of the item's runs of constant rank is one join.
-    bounds = ["0.0", *map(str, path.transition_betas), "inf"]
+    bounds = ["0.0", *map(str, path.transition_betas.tolist()), "inf"]
     cells = [f"{k},{lo},{hi}," for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     total = path.pset.total_pairs
     with open(out / "plateaus.csv", "w", newline="") as fh:
         header = ("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision")
         _write_csv_head(fh, comments, header)
         rows = []
-        for cell, s in zip(cells, path.swaps):
+        for cell, s in zip(cells, path.swaps.tolist()):
             g = math.gcd(s, total)
             rows.append(f"{cell}{s // g}/{total // g},{s / total}\r\n")
         fh.write("".join(rows))
@@ -230,8 +230,8 @@ def cmd_analyze(args) -> int:
             ("index", "theta", "beta"),
             [(i, t, math.sqrt(t)) for i, t in enumerate(crossings.thetas.tolist())],
         ),
-        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations),
-        "frechet_variance": (("beta", "variance"), report.frechet_curve),
+        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations.tolist()),
+        "frechet_variance": (("beta", "variance"), report.frechet_curve.tolist()),
         "optimality": (
             ("candidate", "p_agree", "p_optimal", "p_not_optimal", "degree", "vacuous"),
             [

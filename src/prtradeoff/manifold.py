@@ -23,24 +23,23 @@ class DegenerateSpreadError(ValueError):
     """All rankings identical: nothing to project."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingPath:
-    """Plateau-by-plateau record of the beta sweep over one set.
+    """Plateau-by-plateau record of the beta sweep over one set, in read-only arrays.
 
     ``transition_betas`` holds the distinct betas (square roots of the
     crossing beta^2 values) at which the ranking changes; ``ranks`` has
-    one row of ranks per plateau, so it is one longer, and is read-only:
-    consumers read it in place.  ``swaps[k]`` is the number of pair swaps
-    from precision to plateau k, which is the number of pairs plateau k
-    orders against precision; the last one is d(Pr, Re).  Whether
-    crossings coalesce, and the optimal beta^2, are the set's:
-    ``pset.crossings``.
+    one row of ranks per plateau, so it is one longer.  ``swaps[k]`` is
+    the number of pair swaps from precision to plateau k, which is the
+    number of pairs plateau k orders against precision; the last one is
+    d(Pr, Re).  Whether crossings coalesce, and the optimal beta^2, are
+    the set's: ``pset.crossings``.  Paths compare by identity.
     """
 
     pset: PerformanceSet
-    transition_betas: tuple[float, ...]
-    ranks: np.ndarray = field(compare=False, repr=False)  # (n_plateaus, n_items) int32, read-only
-    swaps: tuple[int, ...]
+    transition_betas: np.ndarray  # (n_plateaus - 1,) float64
+    ranks: np.ndarray = field(repr=False)  # (n_plateaus, n_items) int32
+    swaps: np.ndarray  # (n_plateaus,) int64
 
     @property
     def n_plateaus(self) -> int:
@@ -58,8 +57,7 @@ class RankingPath:
     @property
     def optimal_plateau(self) -> int:
         """Plateau whose distance from precision is nearest to half the total."""
-        gaps = [abs(2 * s - self.swaps[-1]) for s in self.swaps]
-        return gaps.index(min(gaps))
+        return int(np.argmin(np.abs(2 * self.swaps - self.swaps[-1])))  # the first, on a tie
 
 
 def build_path(pset: PerformanceSet) -> RankingPath:
@@ -71,7 +69,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     its precision order to its recall order: the item that was ahead gains
     one rank, the other loses one.  A plateau's distance from precision
     is the number of swaps so far; the last plateau is checked against
-    recall.  The rank matrix is returned read-only.
+    recall.  Every array of the path is returned read-only.
     """
     r_pr, r_re = pset.endpoint_rankings
     if r_pr.has_ties or r_re.has_ties:
@@ -93,13 +91,10 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     if not np.array_equal(ranks[-1], r_re.as_array()):
         raise RuntimeError("last plateau does not match the recall ranking")
 
-    ranks.flags.writeable = False
-    return RankingPath(
-        pset=pset,
-        transition_betas=tuple(np.sqrt(crossings.thetas[starts]).tolist()),
-        ranks=ranks,
-        swaps=tuple(bounds.tolist()),
-    )
+    betas = np.sqrt(crossings.thetas[starts])
+    for a in (betas, ranks, bounds):
+        a.flags.writeable = False
+    return RankingPath(pset=pset, transition_betas=betas, ranks=ranks, swaps=bounds)
 
 
 def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
@@ -153,18 +148,20 @@ def pca_project(
 
 def correlations_vs_beta(
     path: RankingPath, grid_points: int, grid_span: tuple[float, float]
-) -> list[tuple[float, float, float]]:
+) -> np.ndarray:
     """(beta, tau(Pr, F_beta), tau(F_beta, Re)) rows on a log grid plus 0 and every transition beta.
 
-    Exact step values from the plateau swap counts, via the shortest-path
-    identity d(Pr, Re) = d(Pr, F) + d(F, Re), as correctly rounded ratios
-    of discordant-pair counts.
+    A read-only (m, 3) float64 array of exact step values from the plateau
+    swap counts, via the shortest-path identity d(Pr, Re) = d(Pr, F) +
+    d(F, Re), as correctly rounded ratios of discordant-pair counts.
     """
     total = path.pset.total_pairs
     grid = beta_grid(grid_points, grid_span, path.transition_betas)
-    n1 = np.array(path.swaps)[path.plateau_of(grid)]
+    n1 = path.swaps[path.plateau_of(grid)]
     tau1, tau2 = ((total - 2 * n) / total for n in (n1, path.swaps[-1] - n1))
-    return list(zip(grid.tolist(), tau1.tolist(), tau2.tolist()))
+    rows = np.column_stack((grid, tau1, tau2))
+    rows.flags.writeable = False
+    return rows
 
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:

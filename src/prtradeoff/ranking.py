@@ -220,7 +220,7 @@ def _check_betas(betas) -> np.ndarray:
     b = np.asarray(betas, dtype=float)
     bad = np.flatnonzero(~(b >= 0))
     if bad.size:
-        raise ValueError(f"beta must be >= 0, got {b.reshape(-1)[bad[0]]!r}")
+        raise ValueError(f"beta must be >= 0, got {float(b.reshape(-1)[bad[0]])!r}")
     return b
 
 

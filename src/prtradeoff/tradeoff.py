@@ -73,7 +73,7 @@ _COMBOS = 1 << 18
 
 
 def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
-    """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta.
+    """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta of a flat array.
 
     Only a crossing pair can be discordant with either endpoint, and each
     is decided by its own two F-scores under TIE_TOL, as a ranking would.
@@ -85,7 +85,6 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     difference array.  Only the probes inside a pair's window decide it
     directly, ``_COMBOS`` (probe, pair) combinations at a time.
     """
-    betas = _check_betas(betas).reshape(-1)
     with np.errstate(over="ignore"):
         b2 = betas * betas
     # a finite beta whose square overflows leaves every F-score undefined
@@ -134,7 +133,7 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
 
 def frechet_variance(pset: PerformanceSet, beta: float) -> float:
     """d^2(precision, F_beta) + d^2(F_beta, recall) on the set, in [0, 2]."""
-    return frechet_curve(pset, [beta])[0][1]
+    return float(frechet_curve(pset, [beta])[0, 1])
 
 
 def frechet_curve(
@@ -142,21 +141,24 @@ def frechet_curve(
     betas=None,
     grid_points: int = 41,
     grid_span: tuple[float, float] = (1e-3, 1e3),
-) -> list[tuple[float, float]]:
-    """Sampled (beta, Frechet variance) curve.
+) -> np.ndarray:
+    """Sampled Frechet variance: a read-only (m, 2) float64 array of (beta, variance) rows.
 
-    The variance is piecewise constant between ranking transitions, so
-    when ``betas`` is not given the log-spaced grid is augmented with the
-    transition betas themselves and the geometric midpoints of adjacent
-    transitions: every plateau, including the optimal one, is probed.
-    The transitions and the counts come from the set's cached crossings.
+    One row per beta of ``betas``, read flat.  The variance is piecewise
+    constant between ranking transitions, so when ``betas`` is not given
+    the log-spaced grid is augmented with the transition betas and the
+    geometric midpoints of adjacent transitions: every plateau, including
+    the optimal one, is probed.  The counts read the cached crossings.
     """
     if betas is None:
         roots = np.sqrt(pset.crossings.thetas)
         mids = np.sqrt(roots[:-1] * roots[1:])
         betas = beta_grid(grid_points, grid_span, np.concatenate([roots, mids, 2.0 * roots[-1:]]))
+    betas = _check_betas(betas).ravel()
     d1, d2 = (d / pset.total_pairs for d in _side_counts(pset, betas))
-    return list(zip(np.asarray(betas, dtype=float).tolist(), (d1 * d1 + d2 * d2).tolist()))
+    curve = np.column_stack((betas, d1 * d1 + d2 * d2))
+    curve.flags.writeable = False
+    return curve
 
 
 def geodesic_check(pset: PerformanceSet, betas) -> list[int]:
@@ -254,18 +256,19 @@ def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
     """
     if not beta_squared >= 0:  # NaN is not
         raise ValueError(f"beta_squared must be >= 0, got {beta_squared!r}")
-    d_pr, d_re = _side_counts(pset, [math.sqrt(beta_squared)])
+    d_pr, d_re = _side_counts(pset, np.array([math.sqrt(beta_squared)]))
     return Fraction(abs(int(d_pr[0]) - int(d_re[0])), pset.total_pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeoffReport:
     """What the analysis pipeline computes for one performance set.
 
     The set's own facts are read from ``pset``: its size and pair count
     (``len(pset)``, ``pset.total_pairs``) and its crossings, the optimal
     beta^2, its interval and the degenerate and unanimous pair counts
-    (``pset.crossings``).  The report holds no copy of them.
+    (``pset.crossings``).  The report holds no copy of them and compares
+    by identity.
     """
 
     pset: PerformanceSet = field(repr=False)
@@ -273,7 +276,7 @@ class TradeoffReport:
     discordant_pr_re: int
     equidistance_gap: Fraction | None
     heuristic: float | None
-    frechet_curve: tuple[tuple[float, float], ...]
+    frechet_curve: np.ndarray  # (m, 2) float64, read-only
     optimality: dict[str, OptimalityBreakdown] = field(default_factory=dict)
     skipped_candidates: dict[str, str] = field(default_factory=dict)
 
@@ -325,7 +328,7 @@ def analyze_set(
         discordant_pr_re=d_pr_re,
         equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star),
         heuristic=heur,
-        frechet_curve=tuple(frechet_curve(pset, None, grid_points, grid_span)),
+        frechet_curve=frechet_curve(pset, None, grid_points, grid_span),
         optimality=optimality,
         skipped_candidates=skipped,
     )

@@ -262,7 +262,7 @@ def test_acceptance_10_property_suites_standalone(tmp_path):
         path = build_path(pset)
         grid = (
             np.geomspace(path.transition_betas[0] / 2, path.transition_betas[-1] * 2, 2500)
-            if path.transition_betas
+            if len(path.transition_betas)
             else np.geomspace(1e-3, 1e3, 50)
         )
         seen = [rank_by_score(pset, fbeta(0.0)).ranks]

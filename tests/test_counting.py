@@ -75,7 +75,7 @@ def dense_grid_plateaus(pset, path):
     """Distinct rankings met along a dense beta grid (the acceptance-10 oracle)."""
     grid = (
         np.geomspace(path.transition_betas[0] / 2, path.transition_betas[-1] * 2, 2500)
-        if path.transition_betas
+        if len(path.transition_betas)
         else np.geomspace(1e-3, 1e3, 50)
     )
     seen = [rank_by_score(pset, fbeta(0.0)).ranks]
@@ -179,10 +179,10 @@ def test_three_items_reversing_as_a_block():
     path = build_path(pset)
     assert pset.crossings.coalesced
     assert path.n_plateaus == 2
-    assert path.transition_betas == (pytest.approx(1.0),)
+    assert path.transition_betas.tolist() == [pytest.approx(1.0)]
     assert path.ranking(0).ranks == (2, 3, 4, 1)
     assert path.ranking(1).ranks == (4, 3, 2, 1)
-    assert path.swaps == (0, 3)
+    assert path.swaps.tolist() == [0, 3]
     assert_path_matches_direct_probing(pset, path)
     assert path.n_plateaus == dense_grid_plateaus(pset, path)
     # the block is tied at its own beta: discordant with neither endpoint

@@ -12,8 +12,11 @@ from prtradeoff import (
     Performance,
     PerformanceSet,
     RankingPath,
+    analyze_set,
     build_path,
+    correlations_vs_beta,
     fbeta,
+    frechet_curve,
     kendall_distance,
     marker_rankings,
     pca_project,
@@ -24,6 +27,7 @@ from prtradeoff import (
     uniform_spec,
     fixed_priors_spec,
 )
+from prtradeoff.ranking import beta_grid
 
 
 def roc_pset(points, prior=0.5):
@@ -53,8 +57,8 @@ def test_unanimous_set_gives_single_plateau():
     pset = roc_pset(list(zip(xs, ys)), prior=0.3)
     path = build_path(pset)
     assert path.n_plateaus == 1
-    assert path.transition_betas == ()
-    assert path.swaps == (0,)
+    assert path.transition_betas.tolist() == []
+    assert path.swaps.tolist() == [0]
     assert path.ranking(0).ranks == rank_by_score(pset, RECALL).ranks
 
 
@@ -62,11 +66,11 @@ def test_engineered_three_item_path():
     pset = engineered_three_item_pset()
     path = build_path(pset)
     assert path.n_plateaus == 3
-    assert path.transition_betas == (
+    assert path.transition_betas.tolist() == [
         pytest.approx(math.sqrt(0.2)),
         pytest.approx(math.sqrt(1.7)),
-    )
-    assert path.swaps == (0, 1, 2)
+    ]
+    assert path.swaps.tolist() == [0, 1, 2]
     assert not pset.crossings.coalesced
     # cross-check each plateau against direct ranking at an interior beta
     for beta, expect in [(0.1, 0), (1.0, 1), (10.0, 2)]:
@@ -80,14 +84,14 @@ def test_path_endpoints_and_monotone_distances():
         path = build_path(pset)
         assert path.ranking(0).ranks == rank_by_score(pset, PRECISION).ranks
         assert path.ranking(path.n_plateaus - 1).ranks == rank_by_score(pset, RECALL).ranks
-        d = path.swaps
+        d = path.swaps.tolist()
         assert all(type(s) is int for s in d)
         assert all(b > a for a, b in zip(d, d[1:]))
         full = kendall_distance(path.ranking(0), path.ranking(path.n_plateaus - 1))
         assert d[-1] / pset.total_pairs == pytest.approx(full)
         # without coalescing every transition is exactly one adjacent swap
         if not pset.crossings.coalesced:
-            assert d == tuple(range(path.n_plateaus))
+            assert d == list(range(path.n_plateaus))
 
 
 def test_plateau_count_matches_dense_grid_oracle():
@@ -95,7 +99,7 @@ def test_plateau_count_matches_dense_grid_oracle():
     for seed in range(40):
         pset = random_pset(seed + 100, 7)
         path = build_path(pset)
-        if path.transition_betas:
+        if len(path.transition_betas):
             lo = path.transition_betas[0] / 2
             hi = path.transition_betas[-1] * 2
             grid = np.geomspace(lo, hi, 3000)
@@ -212,6 +216,29 @@ def test_path_holds_one_read_only_copy_of_its_ranks():
     assert np.shares_memory(traj, path.ranks)
     with pytest.raises(ValueError):
         traj[0, 0] = 1
+
+
+def test_path_and_curves_are_read_only_arrays():
+    path = build_path(random_pset(65, 10))
+    m = path.n_plateaus
+    betas = [0.0, 0.5, 1.0, 2.0, math.inf]
+    curve = frechet_curve(path.pset, betas)
+    grid = beta_grid(41, (1e-3, 1e3), path.transition_betas)
+    report = analyze_set(path.pset)
+    for a, dtype, shape in [
+        (path.transition_betas, np.float64, (m - 1,)),
+        (path.swaps, np.int64, (m,)),
+        (curve, np.float64, (len(betas), 2)),
+        (report.frechet_curve, np.float64, (len(frechet_curve(path.pset)), 2)),
+        (correlations_vs_beta(path, 41, (1e-3, 1e3)), np.float64, (len(grid), 3)),
+    ]:
+        assert (a.dtype, a.shape) == (dtype, shape)
+        assert not a.flags.writeable
+    # perfbench's tracer counts the curve's betas as len(curve): one row per beta
+    assert len(curve) == len(betas)
+    # 13 swaps in all: plateaus 6 and 7 are equally near half, and the first wins
+    assert path.swaps.tolist() == list(range(14))
+    assert path.optimal_plateau == 6
 
 
 def test_plateau_bounds_are_read_from_the_transition_betas():

@@ -216,6 +216,9 @@ def test_frechet_curve_probes_every_plateau():
     b2, _ = optimal_beta(pset)
     v_star = frechet_variance(pset, math.sqrt(b2))
     assert min(v for _, v in curve) == pytest.approx(v_star)
+    # a scalar is one beta, and nested betas are read flat: one row per beta
+    assert frechet_curve(pset, 1.0).tolist() == [[1.0, frechet_variance(pset, 1.0)]]
+    assert frechet_curve(pset, [[0.5, 1.0]]).tolist() == frechet_curve(pset, [0.5, 1.0]).tolist()
 
 
 def test_geodesic_identity_exact():
