@@ -17,11 +17,9 @@ from .distributions import (
     analytic_tau_fixed_priors,
     analytic_tau_pr_re_near_oracle,
     beta_for_offset,
-    brent_root,
     f1_equidistance_prior,
     fixed_priors_spec,
     fixed_tn_spec,
-    golden_section_min,
     mc_kendall_tau,
     mc_optimal_vertex_offset_near_oracle,
     mc_pencil_optimality,

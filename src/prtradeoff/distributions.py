@@ -32,7 +32,6 @@ import functools
 import math
 import operator
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -388,80 +387,6 @@ def analytic_tau_pr_re_near_oracle(prior_pos: float) -> float:
     )
 
 
-def golden_section_min(f, lo: float, hi: float) -> float:
-    """Bracketed 1-D minimization of a unimodal function, to a bracket narrower than 1e-9."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 1e-9:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def brent_root(f, a: float, b: float, xtol: float) -> float:
-    """A root of f in the bracket [a, b], by Brent's method (Brent 1973, ch. 4, "zeroin").
-
-    A line-for-line port of SciPy's ``brentq.c`` with its default relative
-    tolerance 4 eps and 100 iterations: it evaluates f at the same points
-    and returns the same float as ``scipy.optimize.brentq(f, a, b,
-    xtol=xtol)``.  ValueError when f(a) and f(b) have the same sign,
-    RuntimeError when 100 iterations do not converge.
-    """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + 4.0 * sys.float_info.epsilon * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # in C an infinite or NaN step, which the test below rejects
-                stry = math.inf
-            # C's MIN(x, y) is x < y ? x : y, which differs from min() at NaN
-            shortest = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < shortest:  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur!r}")
-
-
 _ANALYTIC_TAU = {
     "pi3": analytic_tau_fixed_priors,
     "pi4": analytic_tau_above_no_skill,
@@ -477,32 +402,36 @@ def _analytic_tau(family: str):
 
 
 def optimal_vertex_offset(family: str) -> float:
-    """The vertex offset minimizing the Frechet variance under pi3 or pi4.
+    """The vertex offset at which the two correlation sides are equal under pi3 or pi4.
 
-    Roughly 0.61585 for pi3 and 0.48 for pi4; at the optimum the two
-    correlation sides are equal.
+    Under both families the sides sum to a constant (3/2 and 1), so this
+    root of the gap tau("pr", ell) - tau("re", ell) is also the offset
+    minimizing the Frechet variance: roughly 0.61585 for pi3 and 0.48042
+    for pi4.  Found by float bisection over [1e-4, 10], where the gap is
+    positive at the lower end and negative at the upper one; it stops
+    when the midpoint equals an end, so the gap changes sign between the
+    result and one of its float neighbours.
     """
     tau = _analytic_tau(family)
-
-    def variance(ell: float) -> float:
-        d1 = (1.0 - tau("pr", ell)) / 2.0
-        d2 = (1.0 - tau("re", ell)) / 2.0
-        return d1 * d1 + d2 * d2
-
-    return golden_section_min(variance, 1e-4, 10.0)
+    lo, hi = 1e-4, 10.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if tau("pr", mid) - tau("re", mid) > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def f1_equidistance_prior(family: str) -> float:
-    """The prior at which the balanced F-score equalizes both correlation sides, under pi3 or pi4."""
-    tau = _analytic_tau(family)
+    """The prior at which the balanced F-score equalizes both correlation sides, under pi3 or pi4.
 
-    def gap(p: float) -> float:
-        off = p / (1.0 - p)  # the balanced F-score's vertex offset at this prior
-        return tau("pr", off) - tau("re", off)
-
-    # bracket kept well inside (0, 1): the closed forms cancel badly for
-    # extreme vertex offsets, and the root is near 1/3 for both families
-    return brent_root(gap, 1e-3, 1.0 - 1e-3, xtol=1e-10)
+    The balanced F-score's vertex offset at prior p is p / (1 - p), so
+    this is ell / (1 + ell) of the family's ``optimal_vertex_offset`` ell.
+    """
+    ell = optimal_vertex_offset(family)
+    return ell / (1.0 + ell)
 
 
 def beta_for_offset(offset: float, prior_pos: float) -> tuple[float, float]:
@@ -623,16 +552,6 @@ def _tau(discordant, n_pairs: int) -> float:
     return float(1.0 - 4.0 * (discordant / n_pairs))
 
 
-def _near_oracle_sides(n_pairs: int, seed: int, prior_pos: float, offset: float) -> tuple[float, float]:
-    """(tau(Pr, F), tau(F, Re)) under pi5 on the frozen pairs, read and counted ``_WINDOW`` pairs at a time."""
-    a = b = 0
-    for uniforms in _near_oracle_blocks(n_pairs, seed):
-        in_a, in_b = _discordant(_near_oracle_points(uniforms, prior_pos), offset)
-        a += np.count_nonzero(in_a)
-        b += np.count_nonzero(in_b)
-    return _tau(a, n_pairs), _tau(b, n_pairs)
-
-
 def _popping(pieces: list):
     """The pieces, each dropped from the list as it is read."""
     while pieces:
@@ -693,11 +612,19 @@ def _near_oracle_bisection(
 def mc_tau_sides_near_oracle(
     prior_pos: float, offset: float, n_pairs: int = 10**6, seed: int = 0
 ) -> tuple[float, float]:
-    """Monte Carlo (tau(Pr, F), tau(F, Re)) under pi5 for a pencil score."""
+    """Monte Carlo (tau(Pr, F), tau(F, Re)) under pi5 for a pencil score.
+
+    The frozen pairs are read and counted ``_WINDOW`` pairs at a time.
+    """
     p = _check_prior_pos(prior_pos)
     offset = _check_pencil_offset("offset", offset)
     _check_n_pairs(n_pairs)
-    return _near_oracle_sides(n_pairs, seed, p, offset)
+    a = b = 0
+    for uniforms in _near_oracle_blocks(n_pairs, seed):
+        in_a, in_b = _discordant(_near_oracle_points(uniforms, p), offset)
+        a += np.count_nonzero(in_a)
+        b += np.count_nonzero(in_b)
+    return _tau(a, n_pairs), _tau(b, n_pairs)
 
 
 def mc_optimal_vertex_offset_near_oracle(

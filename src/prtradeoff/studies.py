@@ -16,7 +16,8 @@ import numpy as np
 from . import distributions as dist
 from .scores import F1, PRECISION, RECALL, SIVF, fbeta
 
-PRIOR_GRID = tuple(np.linspace(0.1, 0.9, 9))
+# k / 10 is the float nearest each decimal, the value a --param of 0.3 parses to
+PRIOR_GRID = tuple(k / 10 for k in range(1, 10))
 
 # (name, name, score, score) pairs whose tau pi1 and pi2 report; pair i
 # takes seed + i.  The first three give the degree of optimality of F1.

@@ -234,7 +234,7 @@ def optimality_decomposition(
     if beta_star_squared is None:
         beta_star_squared = pset.crossings.beta_star_squared
     elif not beta_star_squared >= 0:  # NaN is not
-        raise ValueError(f"beta_star_squared must be >= 0, got {beta_star_squared!r}")
+        raise ValueError(f"beta_star_squared must be >= 0, got {float(beta_star_squared)!r}")
     _, breakdown = _breakdowns(pset, beta_star_squared)
     return breakdown(candidate)
 
@@ -255,7 +255,7 @@ def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
     Counted over the set's cached crossings.
     """
     if not beta_squared >= 0:  # NaN is not
-        raise ValueError(f"beta_squared must be >= 0, got {beta_squared!r}")
+        raise ValueError(f"beta_squared must be >= 0, got {float(beta_squared)!r}")
     d_pr, d_re = _side_counts(pset, np.array([math.sqrt(beta_squared)]))
     return Fraction(abs(int(d_pr[0]) - int(d_re[0])), pset.total_pairs)
 

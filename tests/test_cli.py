@@ -157,7 +157,7 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = [line.split() for line in proc.stdout.splitlines() if line.startswith(("exit ", "root "))]
     assert results[0][1] in ("0", "3")  # 3: a pinned cell misses its tolerance at 20,000 pairs
-    assert results[1:] == [["exit", "0"]] * 3 + [["root", "0x1.4c4e3f686ef12p-2"]]
+    assert results[1:] == [["exit", "0"]] * 3 + [["root", "0x1.4c4e3f686ef17p-2"]]
 
 
 def test_importing_the_cli_starts_no_thread():

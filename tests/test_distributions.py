@@ -8,9 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import prtradeoff
 from prtradeoff import (
@@ -27,11 +24,9 @@ from prtradeoff import (
     analytic_tau_fixed_priors,
     analytic_tau_pr_re_near_oracle,
     beta_for_offset,
-    brent_root,
     f1_equidistance_prior,
     fixed_priors_spec,
     fixed_tn_spec,
-    golden_section_min,
     mc_kendall_tau,
     mc_optimal_vertex_offset_near_oracle,
     mc_pencil_optimality,
@@ -509,17 +504,30 @@ def test_equidistance_at_published_offsets():
     assert abs(d4) <= 2e-2
 
 
+ANALYTIC = {"pi3": analytic_tau_fixed_priors, "pi4": analytic_tau_above_no_skill}
+
+
+def _gap(family, ell):
+    tau = ANALYTIC[family]
+    return tau("pr", ell) - tau("re", ell)
+
+
+@pytest.mark.parametrize("family", list(ANALYTIC))
+def test_the_gap_changes_sign_over_the_bracket(family):
+    assert _gap(family, 1e-4) > 0 > _gap(family, 10.0)
+
+
+@pytest.mark.parametrize("family", list(ANALYTIC))
+def test_optimal_vertex_offset_is_within_one_float_of_the_gap_root(family):
+    ell = optimal_vertex_offset(family)
+    positive = _gap(family, ell) > 0
+    neighbours = (math.nextafter(ell, 0.0), math.nextafter(ell, math.inf))
+    assert any((_gap(family, x) > 0) != positive for x in neighbours)
+
+
 def test_optimal_vertex_offset_constants():
-    off3 = optimal_vertex_offset("pi3")
-    assert off3 == pytest.approx(0.61585, abs=5e-4)
-    assert abs(
-        analytic_tau_fixed_priors("pr", off3) - analytic_tau_fixed_priors("re", off3)
-    ) <= 1e-6
-    off4 = optimal_vertex_offset("pi4")
-    assert off4 == pytest.approx(0.48, abs=1e-2)
-    assert abs(
-        analytic_tau_above_no_skill("pr", off4) - analytic_tau_above_no_skill("re", off4)
-    ) <= 1e-6
+    assert optimal_vertex_offset("pi3") == pytest.approx(0.61585, abs=5e-4)
+    assert optimal_vertex_offset("pi4") == pytest.approx(0.48, abs=1e-2)
     with pytest.raises(ValueError):
         optimal_vertex_offset("pi1")
 
@@ -529,10 +537,20 @@ def test_mc_offsets_hold_pi3s_optimum_rounded():
     assert studies._MC_OFFSETS[2] == round(optimal_vertex_offset("pi3"), 5)
 
 
+def test_pi5_tables_merge_a_grid_prior_into_the_grid():
+    # a --param of 0.3 is the grid's own 0.3, so each table keeps 9 distinct priors
+    tables, _ = studies.sweep_tables(near_oracle_spec(0.3), 20000, 0)
+    for name in ("pr_re", "adaptation", "f1_equidistance"):
+        priors = [row[0] for row in tables[name][1]]
+        assert priors == list(studies.PRIOR_GRID), name
+        assert len(set(priors)) == 9, name
+
+
 def test_f1_equidistance_prior():
-    for family, tau in (("pi3", analytic_tau_fixed_priors), ("pi4", analytic_tau_above_no_skill)):
-        p = f1_equidistance_prior(family)
-        assert abs(tau("pr", p / (1 - p)) - tau("re", p / (1 - p))) <= 1e-8
+    for family in ANALYTIC:
+        ell = optimal_vertex_offset(family)
+        # the balanced F-score's vertex offset at prior p is p / (1 - p)
+        assert f1_equidistance_prior(family) == ell / (1.0 + ell)
     with pytest.raises(ValueError):
         f1_equidistance_prior("pi5")
 
@@ -555,79 +573,6 @@ def test_beta_for_offset_rejects_negative_and_non_finite_offsets():
     for offset in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="offset must be finite and >= 0"):
             beta_for_offset(offset, 0.3)
-
-
-def test_golden_section_min():
-    assert golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0) == pytest.approx(
-        2.0, abs=1e-6
-    )
-
-
-def test_f1_equidistance_prior_is_brentq_to_the_bit(monkeypatch):
-    roots = []
-
-    def both(f, a, b, xtol):
-        roots.append(brentq(f, a, b, xtol=xtol))
-        return brent_root(f, a, b, xtol)
-
-    monkeypatch.setattr(dist, "brent_root", both)
-    for family, want in (("pi3", "0x1.8647176ed564dp-2"), ("pi4", "0x1.4c4e3f686ef12p-2")):
-        assert f1_equidistance_prior(family).hex() == roots[-1].hex() == want, family
-
-
-def _recorded(solver, f, a, b, xtol):
-    """(root as hex, or the exception type; the points at which f was evaluated, as hex)."""
-    seen = []
-
-    def g(x):
-        seen.append(x.hex())
-        return f(x)
-
-    try:
-        out = solver(g, a, b, xtol).hex()
-    except (ValueError, RuntimeError) as exc:
-        out = type(exc)
-    return out, seen
-
-
-def _scipy_brentq(f, a, b, xtol):
-    return brentq(f, a, b, xtol=xtol)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    a=st.floats(-20.0, 20.0),
-    width=st.floats(1e-9, 40.0),
-    flip=st.booleans(),
-    where=st.floats(0.0, 1.0),
-    c1=st.floats(0.0, 3.0),
-    c3=st.floats(0.0, 3.0),
-    s=st.floats(-2.0, 2.0),
-    w=st.floats(0.1, 20.0),
-    xtol=st.one_of(st.floats(-15.0, -1.0).map(lambda e: 10.0**e), st.just(1e-300)),
-)
-def test_brent_root_evaluates_where_brentq_does(a, width, flip, where, c1, c3, s, w, xtol):
-    # a cubic through r, linear, flat (c1 = 0) or absent, plus a ripple that
-    # can add roots or remove the sign change
-    b = a + width
-    r = a + where * width
-
-    def f(x):
-        return (x - r) * (c1 + c3 * (x - r) ** 2) + s * math.sin(w * (x - r))
-
-    lo, hi = (b, a) if flip else (a, b)
-    assert _recorded(brent_root, f, lo, hi, xtol) == _recorded(_scipy_brentq, f, lo, hi, xtol)
-
-
-def test_brent_root_edge_cases():
-    for solver in (brent_root, _scipy_brentq):
-        assert solver(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0  # a root at a is a
-        assert solver(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0  # and one at b is b
-        with pytest.raises(ValueError, match="different signs"):
-            solver(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-        # a jump at 0: only bisection closes in, far too slowly for an xtol of 1e-300
-        with pytest.raises(RuntimeError, match="(?i)failed to converge after 100 iterations"):
-            solver(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, 1e-300)
 
 
 def test_fixed_priors_tau_pr_re_is_half_for_any_prior():

@@ -17,9 +17,15 @@ before the set cached them.  The ``coalesced14.csv`` hashes and
 ``coalesced14_pca.csv.gz`` were produced by the implementation that
 wrote ``rank_trajectories.csv`` one row per (item, plateau) and formed a
 ``Fraction`` for each ``plateaus.csv`` row, before those files were
-written run by run.  The ``analyze`` and ``manifold`` runs use a
-relative ``--input`` from inside ``tests/data``, because the input path
-is part of the config hash that every output carries.  ``pca.csv`` goes
+written run by run.  The ``table1`` hashes, the ``adaptation.csv`` and
+``summary.json`` hashes of the pi3 and pi4 ``sweep`` runs and the
+``pr_re.csv``, ``adaptation.csv`` and ``f1_equidistance.csv`` hashes of
+the pi5 run were regenerated by the implementation that finds the pi3
+and pi4 optimum by float bisection on the closed-form equidistance gap,
+and builds the prior grid from exact decimals, so that pi5's ``--param
+0.3`` is one of the grid's nine rows.  The ``analyze`` and ``manifold``
+runs use a relative ``--input`` from inside ``tests/data``, because the
+input path is part of the config hash that every output carries.  ``pca.csv`` goes
 through an eigendecomposition whose last bits depend on the
 linear-algebra library, so it is compared numerically; every other file
 must match byte for byte.
@@ -132,8 +138,8 @@ def test_manifold_matches_golden_outputs(tmp_path, monkeypatch):
 
 DISTRIBUTION_GOLDEN = {
     ("table1", "--pairs", "150000", "--seed", "0"): {
-        "table1.json": "9cfdf2b03ac8e3e173cd05d8cad663dbac328bb0f1936b9b3bb862ecc58d54f4",
-        "table1.csv": "a8499b408d193770f44238c8e23427d2ccd75f75b6c126e7dac077136339e06d",
+        "table1.json": "69e601292d467e55c3eda80954169f3f30c26b913f11c795ba82e69e61757086",
+        "table1.csv": "1ad194f9f75810ac7b34af632b8dd5cb374eda97b5923cfc341454c93c536d4c",
     },
     ("sweep", "--family", "pi1", "--pairs", "20000"): {
         "summary.json": "5b7bd89f93f0d2da559facbef9a2a244d76a73712a3b77eb40ebbf2ce2a883c4",
@@ -153,23 +159,23 @@ DISTRIBUTION_GOLDEN = {
         "taus.csv": "05db7b06cafaf90c398e12805c890924f9fd8b389663a2506ba0e0fddb607943",
     },
     ("sweep", "--family", "pi3", "--param", "0.5", "--pairs", "20000"): {
-        "adaptation.csv": "c93080103e4d312eb4149e131723555df57e64c564fb8cd49a672bf7f66bb5ce",
+        "adaptation.csv": "56e63792bf418bd09b3cb5dbfaf798bc4c9108279683d58c4baaa25a318d3c69",
         "analytic_correlations.csv": "166827a6a9ff8058ac56f76d6eec7cce7193cc537281a2166ff130b78fb87860",
         "f1_equidistance.csv": "9beb6f428f83d40ccdbe08298d9674cddc3d9115cf7fb546df239f592ee3d6cc",
         "mc_validation.csv": "f7f8dd183aaa7b7bab170fc3f15eb6d8f99eaf845273768b18f940d9aafd21b9",
-        "summary.json": "52b7b4da486a57641d17b1233fc8d1fb74f41ca75bc3ef6cb9a3a33e7a43710f",
+        "summary.json": "5b0652fb358aadeaab9aee7d78fcc97754435795d9433e56ea7eef34de41d01e",
     },
     ("sweep", "--family", "pi4", "--param", "0.3", "--pairs", "20000"): {
-        "adaptation.csv": "1110bef9a72e30d313bbea297de4e145e48c5b747adac9026c2c1af19bae5947",
+        "adaptation.csv": "1dd46697448cfea379ee63105851623309aca9a9e2e47f7a9189ded3d1e5065c",
         "analytic_correlations.csv": "a6eff7a7c37548a5964fb9c6ee8e2dd66c3f022d9c273bdc66fe40ca7c49b8b1",
         "f1_equidistance.csv": "24097ce95ad949a8ee7295d4f38eb993b5ea88fe5233484bc4074cd6981f5e6d",
         "mc_validation.csv": "5d7ee9fd92d32bc385764a91fceb713ce120703cac06b4612d1570dada0b800c",
-        "summary.json": "d0a6306064208e4e22f88d12561f8188ef74f9b5052d3cc2eedb1fade74830d9",
+        "summary.json": "16acdf28836c19ef00b9813fde39ff071ecc5facf82d93ed985111d07324f055",
     },
     ("sweep", "--family", "pi5", "--param", "0.3", "--pairs", "20000"): {
-        "adaptation.csv": "cbed91ca9f3b6c93fe76ececc2c5d42fc612a5261c8e0ccb52c6981a1d363260",
-        "f1_equidistance.csv": "5f532c5160648b584530c46f9e3f70453723d03096ce5d39a681023ef128c697",
-        "pr_re.csv": "ad9664cc75c81a4bf3843f1baff34068f23376132b77544665bea3fbd8e4ed34",
+        "adaptation.csv": "a051c30c2124ea57e168f02e3657aee46022e0b3d0818f94e822ec7c5bfd55e0",
+        "f1_equidistance.csv": "435d18f12fa30c004bf6bd089a4b6a845743da20785d37f083a1d478a485498a",
+        "pr_re.csv": "41c0f570bb0be382c7b179afdd6bd019a10eca560e930af16d980998d45fb3aa",
         "summary.json": "3b3e2a17251117fda813f9b07a88cd636d602d8b1aa7858ac02798683c55c781",
     },
 }

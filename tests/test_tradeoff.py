@@ -325,6 +325,23 @@ def test_negative_or_nan_beta_squared_is_rejected_by_name(b2):
             optimality_decomposition(s, F1, b2)
 
 
+@pytest.mark.parametrize(
+    "check, value, want",
+    [
+        (lambda pset, v: equidistance_gap(pset, v), np.float64(np.nan), "^beta_squared must be >= 0, got nan$"),
+        (
+            lambda pset, v: optimality_decomposition(pset, F1, v),
+            np.float64(-2.0),
+            "^beta_star_squared must be >= 0, got -2.0$",
+        ),
+    ],
+    ids=["equidistance_gap", "optimality_decomposition"],
+)
+def test_a_numpy_scalar_is_reported_as_a_float(check, value, want):
+    with pytest.raises(ValueError, match=want):
+        check(random_pset(34, 12), value)
+
+
 def test_f1_is_suboptimal_at_extreme_priors():
     pset = PerformanceSet.from_parts(sample_parts(fixed_priors_spec(0.9), 0, 60))
     b2, _ = optimal_beta(pset)
