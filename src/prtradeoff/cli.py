@@ -14,9 +14,8 @@ seed; JSON reports embed the same fields.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -52,23 +51,45 @@ def _comments(config_hash: str, seed: int) -> list[str]:
     return [f"config={config_hash} seed={seed}"]
 
 
-def _write_csv_head(fh, comments, header):
-    for line in comments:
-        fh.write(f"# {line}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    return writer
+# Rows formatted and written at a time, so the writer's memory does not
+# grow with a table's length.
+_CHUNK = 1024
+# csv.writer's minimal quoting: a field holding one of these is quoted.
+_SPECIAL = (",", '"', "\r", "\n")
 
 
-def _write_csv(path: Path, comments, header, rows) -> None:
+def _quote(label: str) -> str:
+    if any(c in label for c in _SPECIAL):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+def _fields(column) -> list[str]:
+    """A column's cells as csv.writer writes them: str() of each, None empty, labels quoted."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds <= {float, int, bool}:
+        # one C-level repr of the list; each number's repr is its str()
+        return repr(values)[1:-1].split(", ") if values else []
+    if kinds == {str}:
+        joined = "".join(values)  # one scan of the column, not one per label
+        return list(map(_quote, values)) if any(c in joined for c in _SPECIAL) else values
+    return [_quote(v) if isinstance(v, str) else "" if v is None else str(v) for v in values]
+
+
+def _write_table(path: Path, comments, header, columns) -> None:
+    """One CSV: ``# `` comment lines, the header, then the rows of the columns.
+
+    The bytes are csv.writer's for two or more columns; csv.writer would
+    also quote a lone empty field.
+    """
+    n_rows = len(columns[0]) if len(columns) else 0
     with open(path, "w", newline="") as fh:
-        _write_csv_head(fh, comments, header).writerows(rows)
-
-
-def _write_tables(out: Path, comments, tables: dict) -> None:
-    """One ``<stem>.csv`` per ``stem: (header, rows)`` entry."""
-    for stem, (header, rows) in tables.items():
-        _write_csv(out / f"{stem}.csv", comments, header, rows)
+        fh.write("".join(f"# {line}\n" for line in comments))
+        fh.write(",".join(_fields(header)) + "\r\n")
+        for a in range(0, n_rows, _CHUNK):
+            fields = [_fields(c[a : a + _CHUNK]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def _out_dir(path) -> Path:
@@ -78,14 +99,9 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _csv_prefix(*fields) -> str:
-    """The fields as the start of a row in ``_write_csv``'s dialect, ending with a comma.
-
-    Used for item labels, which may need quoting.
-    """
-    buf = io.StringIO()
-    csv.writer(buf).writerow((*fields, ""))
-    return buf.getvalue()[: -len("\r\n")]
+def _csv_prefix(label: str) -> str:
+    """An item label as the first field of a row, quoted as ``_write_table`` quotes it, and its comma."""
+    return _quote(label) + ","
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -118,8 +134,8 @@ def _item_labels(pset) -> tuple[str, ...]:
     return tuple(f"item_{i:03d}" for i in range(len(pset)))
 
 
-def _pca_table(path) -> tuple[list[str], list[tuple]]:
-    """pca.csv's extra comment lines and its rows: the plateaus, then the markers."""
+def _pca_table(path) -> tuple[list[str], tuple]:
+    """pca.csv's extra comment lines and its columns (kinds, names, coords): the plateaus, then the markers."""
     markers = marker_rankings(path)
     names = [f"plateau_{k}" for k in range(path.n_plateaus)] + list(markers)
     kinds = ["plateau"] * path.n_plateaus + ["marker"] * len(markers)
@@ -130,45 +146,40 @@ def _pca_table(path) -> tuple[list[str], list[tuple]]:
         # every ranking coincides: the projection collapses to one point
         coords = np.zeros((len(names), 2))
         extra = ["degenerate_spread=all rankings identical", "explained_variance_ratio=0.0,0.0"]
-    rows = [
-        (kind, name, coords[i, 0], coords[i, 1])
-        for i, (kind, name) in enumerate(zip(kinds, names))
-    ]
-    return extra, rows
+    return extra, (kinds, names, coords)
 
 
 def _write_manifold_files(out: Path, path, pca, comments) -> None:
-    # Each plateau's cells "k,beta_low,beta_high," are formatted once, as
-    # csv.writer would: str() of each bound, a Python float, the last one inf.
-    # plateaus.csv reduces each distance with gcd; int / int is correctly
-    # rounded, so s / total is float(Fraction(s, total)).
+    # The plateau bounds are formatted once, the last one inf.  plateaus.csv
+    # reduces each distance with gcd; swap counts and the pair total are
+    # exact in float64 and division is correctly rounded, so s / total is
+    # float(Fraction(s, total)).
     # rank_trajectories.csv has n_items x n_plateaus rows.  It is written one
-    # item at a time, and each of the item's runs of constant rank is one join.
-    bounds = ["0.0", *map(str, path.transition_betas.tolist()), "inf"]
-    cells = [f"{k},{lo},{hi}," for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-    total = path.pset.total_pairs
-    with open(out / "plateaus.csv", "w", newline="") as fh:
-        header = ("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision")
-        _write_csv_head(fh, comments, header)
-        rows = []
-        for cell, s in zip(cells, path.swaps.tolist()):
-            g = math.gcd(s, total)
-            rows.append(f"{cell}{s // g}/{total // g},{s / total}\r\n")
-        fh.write("".join(rows))
+    # item at a time, and each of the item's runs of constant rank is one
+    # join over the plateaus' cells "k,beta_low,beta_high,".
+    bounds = _fields(np.concatenate(([0.0], path.transition_betas, [math.inf])))
+    swaps, total = path.swaps, path.pset.total_pairs
+    g = np.gcd(swaps, total)
+    exact = [f"{s}/{t}" for s, t in zip((swaps // g).tolist(), (total // g).tolist())]
+    header = ("plateau", "beta_low", "beta_high", "distance_from_precision_exact", "distance_from_precision")
+    columns = (range(path.n_plateaus), bounds[:-1], bounds[1:], exact, swaps / total)
+    _write_table(out / "plateaus.csv", comments, header, columns)
 
-    with open(out / "rank_trajectories.csv", "w", newline="") as fh:
-        _write_csv_head(fh, comments, ("item", "plateau", "beta_low", "beta_high", "rank"))
+    cells = [f"{k},{lo},{hi}," for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    trajectories = out / "rank_trajectories.csv"
+    _write_table(trajectories, comments, ("item", "plateau", "beta_low", "beta_high", "rank"), ())
+    with open(trajectories, "a", newline="") as fh:
         for label, ranks in zip(_item_labels(path.pset), rank_trajectories(path)):
             prefix = _csv_prefix(label)
             starts = [0, *(np.flatnonzero(np.diff(ranks)) + 1).tolist()]
             parts = []
             for a, b, rank in zip(starts, [*starts[1:], len(cells)], ranks[starts].tolist()):
                 tail = f"{rank}\r\n"
-                parts.append(prefix + (tail + prefix).join(cells[a:b]) + tail)
+                parts += (prefix, (tail + prefix).join(cells[a:b]), tail)
             fh.write("".join(parts))
 
-    extra, rows = pca
-    _write_csv(out / "pca.csv", [*comments, *extra], ("kind", "label", "pc1", "pc2"), rows)
+    extra, (kinds, names, coords) = pca
+    _write_table(out / "pca.csv", [*comments, *extra], ("kind", "label", "pc1", "pc2"), (kinds, names, *coords.T))
 
 
 def cmd_analyze(args) -> int:
@@ -225,26 +236,25 @@ def cmd_analyze(args) -> int:
         },
         "skipped_candidates": report.skipped_candidates,
     }
-    tables = {
-        "transitions": (
-            ("index", "theta", "beta"),
-            [(i, t, math.sqrt(t)) for i, t in enumerate(crossings.thetas.tolist())],
-        ),
-        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations.tolist()),
-        "frechet_variance": (("beta", "variance"), report.frechet_curve.tolist()),
+    thetas = crossings.thetas
+    tables = {  # stem: (header, columns); sqrt is correctly rounded in NumPy as in math
+        "transitions": (("index", "theta", "beta"), (range(len(thetas)), thetas, np.sqrt(thetas))),
+        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations.T),
+        "frechet_variance": (("beta", "variance"), report.frechet_curve.T),
         "optimality": (
             ("candidate", "p_agree", "p_optimal", "p_not_optimal", "degree", "vacuous"),
-            [
+            [*zip(*(
                 (name, float(b.p_agree), float(b.p_optimal), float(b.p_not_optimal),
                  float(b.degree), b.vacuous)
                 for name, b in report.optimality.items()
-            ],
+            ))],
         ),
     }
 
     out = _out_dir(args.out)
     _write_json(out / "report.json", payload)
-    _write_tables(out, comments, tables)
+    for stem, (header, columns) in tables.items():
+        _write_table(out / f"{stem}.csv", comments, header, columns)
     _write_manifold_files(out, path, pca, comments)
     return EXIT_OK
 
@@ -278,7 +288,8 @@ def cmd_sweep(args) -> int:
     tables, summary = studies.sweep_tables(spec, args.pairs, args.seed)
 
     out = _out_dir(args.out)
-    _write_tables(out, _comments(chash, args.seed), tables)
+    for stem, (header, rows) in tables.items():
+        _write_table(out / f"{stem}.csv", _comments(chash, args.seed), header, [*zip(*rows)])
     summary = {**summary, "config": config, "config_hash": chash, "seed": args.seed}
     _write_json(out / "summary.json", summary)
     return EXIT_OK
@@ -304,15 +315,12 @@ def cmd_table1(args) -> int:
         out / "table1.json",
         {"config": config, "config_hash": chash, "seed": seed, "cells": results},
     )
-    _write_csv(
-        out / "table1.csv",
-        _comments(chash, seed),
-        ("cell", "value", "expected", "tolerance", "passed"),
-        [(r["cell"], r["value"], r["expected"], r["tolerance"], r["passed"]) for r in results],
-    )
+    header = ("cell", "value", "expected", "tolerance", "passed")
+    _write_table(out / "table1.csv", _comments(chash, seed), header, [[r[h] for r in results] for h in header])
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_CHECKS
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prtradeoff",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import prtradeoff
 from prtradeoff import PRECISION, RECALL, cli
@@ -225,14 +228,19 @@ def test_manifold_command(tmp_path):
     assert len(traj_rows) == 57 * len(rows)
 
 
-def test_manifold_reads_the_path_in_place(tmp_path):
-    # 200 uniform ROC points: about 4900 plateaus, about 10^6 rank entries.
-    # The path's own int32 matrix plus PCA's one float matrix come to 12
-    # bytes an entry, about 13.8 with the rest; one more int32 copy of the
-    # ranks exceeds the bound.
+def _roc200(tmp_path):
+    """200 uniform ROC points: about 4900 plateaus, about 10^6 rank entries."""
     fpr, tpr = np.random.default_rng(0).uniform(size=(2, 200))
     csv_path = tmp_path / "roc200.csv"
     csv_path.write_text("fpr,tpr\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(fpr.tolist(), tpr.tolist())))
+    return csv_path
+
+
+def test_manifold_reads_the_path_in_place(tmp_path):
+    # The path's own int32 matrix plus PCA's one float matrix come to 12
+    # bytes an entry, about 13.8 with the rest; one more int32 copy of the
+    # ranks exceeds the bound.
+    csv_path = _roc200(tmp_path)
     entries = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).ranks.size
     argv = ["manifold", "--input", str(csv_path), "--prior", "0.5", "--out", str(tmp_path / "out")]
     tracemalloc.start()
@@ -243,6 +251,35 @@ def test_manifold_reads_the_path_in_place(tmp_path):
         tracemalloc.stop()
     assert peak <= 16 * entries
 
+
+def test_analyze_writes_its_tables_in_bounded_memory(tmp_path, monkeypatch):
+    # Once the PCA, the last result, is computed, the command only formats
+    # and writes: about 1.5 MB of tables besides rank_trajectories.csv's
+    # 10^6 rows (55 MB).  Building each table's rows as Python lists for
+    # csv.writer takes about 1100 bytes a plateau over what is held at that
+    # point.  Chunked columns, plus the plateau bounds and cells that every
+    # item's trajectory rows reuse, take about 460; holding
+    # rank_trajectories.csv whole would take over 10,000.
+    csv_path = _roc200(tmp_path)
+    plateaus = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).n_plateaus
+    held = []
+
+    def project_then_mark(*args, _project=cli.pca_project):
+        result = _project(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "pca_project", project_then_mark)
+    argv = ["analyze", "--input", str(csv_path), "--prior", "0.5", "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert peak - held[0] <= 600 * plateaus
 
 def _reference_manifold_csvs(path, comment_line):
     """plateaus.csv and rank_trajectories.csv as csv.writer writes them, one row at a time."""
@@ -321,6 +358,124 @@ def test_manifold_files_match_a_row_by_row_writer_without_crossings(tmp_path):
     path = _assert_manifold_matches_reference(tmp_path, csv_path)
     assert path.n_plateaus == 1
 
+
+
+def _reference_analyze_csvs(csv_path, prior, betas, comment_line):
+    """analyze's tables as csv.writer writes them, one row at a time, from the library's results."""
+    pset = prtradeoff.ingest(csv_path, prior)
+    report = prtradeoff.analyze_set(pset, extra_betas=betas)
+    path = prtradeoff.build_path(pset)
+    markers = prtradeoff.marker_rankings(path)
+    names = [f"plateau_{k}" for k in range(path.n_plateaus)] + list(markers)
+    kinds = ["plateau"] * path.n_plateaus + ["marker"] * len(markers)
+    try:
+        coords, explained = prtradeoff.pca_project(path, markers)
+        pca_comments = [f"explained_variance_ratio={explained[0]!r},{explained[1]!r}"]
+    except prtradeoff.DegenerateSpreadError:
+        coords = np.zeros((len(names), 2))
+        pca_comments = ["degenerate_spread=all rankings identical", "explained_variance_ratio=0.0,0.0"]
+    tables = {
+        "transitions.csv": (
+            ("index", "theta", "beta"),
+            [(i, t, math.sqrt(t)) for i, t in enumerate(pset.crossings.thetas)],
+        ),
+        "correlations_vs_beta.csv": (
+            ("beta", "tau_precision_fbeta", "tau_fbeta_recall"),
+            prtradeoff.correlations_vs_beta(path, 41, (1e-3, 1e3)),
+        ),
+        "frechet_variance.csv": (("beta", "variance"), report.frechet_curve),
+        "optimality.csv": (
+            ("candidate", "p_agree", "p_optimal", "p_not_optimal", "degree", "vacuous"),
+            [
+                (name, float(b.p_agree), float(b.p_optimal), float(b.p_not_optimal), float(b.degree), b.vacuous)
+                for name, b in report.optimality.items()
+            ],
+        ),
+        "pca.csv": (("kind", "label", "pc1", "pc2"), [(*kn, *xy) for kn, xy in zip(zip(kinds, names), coords)]),
+    }
+    texts = _reference_manifold_csvs(path, comment_line)
+    for name, (header, rows) in tables.items():
+        buf = io.StringIO(newline="")
+        buf.write(comment_line + "".join(f"# {c}\n" for c in pca_comments if name == "pca.csv"))
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)  # NumPy rows write str() of each np.float64 cell
+        texts[name] = buf.getvalue()
+    return texts
+
+
+@pytest.mark.parametrize("n", [2, 12, 45])
+def test_analyze_tables_match_a_row_by_row_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    fpr, tpr = rng.uniform(size=(2, n))
+    labels = [QUOTED_LABELS[i] if i < len(QUOTED_LABELS) else f"m{i}" for i in rng.permutation(n)]
+    csv_path = tmp_path / "set.csv"
+    _roc_csv(csv_path, fpr, tpr, labels)
+    out = tmp_path / "out"
+    argv = ["analyze", "--input", str(csv_path), "--prior", "0.4", "--beta", "0.5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    comment_line = (out / "pca.csv").read_text().split("\n", 1)[0] + "\n"
+    assert comment_line.startswith("# config=")
+    want = _reference_analyze_csvs(csv_path, 0.4, (0.5,), comment_line)
+    assert sorted(want) == sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.1]
+number_cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.integers(), st.booleans())
+label_cells = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "a,b", 'say "hi"', "x\r\ny"]), st.text(',"\r\n aé'))
+column_cells = {
+    "numbers": number_cells,
+    "labels": label_cells,
+    "mixed": st.one_of(number_cells, label_cells, st.none()),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and its columns: float arrays, or lists of numbers, of labels, or of anything csv writes."""
+    n_rows, width = draw(st.integers(0, 20)), draw(st.integers(2, 5))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float array", *column_cells]), min_size=width, max_size=width)):
+        cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()) if kind == "float array" else column_cells[kind]
+        column = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(column, dtype=float) if kind == "float array" else column)
+    return draw(st.lists(label_cells, min_size=width, max_size=width)), columns
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables(), comments=st.lists(st.text("ab=, ")))
+def test_table_writer_matches_csv_writer(tmp_path, chunk, table, comments):
+    header, columns = table
+    buf = io.StringIO(newline="")
+    buf.write("".join(f"# {line}\n" for line in comments))
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(cli, "_CHUNK", chunk)
+        cli._write_table(tmp_path / "table.csv", comments, header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_consecutive_commands_share_no_state(tmp_path):
+    from test_golden import DISTRIBUTION_GOLDEN
+
+    argv = ["analyze", "--input", str(FIXTURE)]
+    assert cli.main([*argv, "--beta", "2", "--out", str(tmp_path / "with")]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "without")]) == 0
+    with_beta, without = (json.loads((tmp_path / d / "report.json").read_text()) for d in ("with", "without"))
+    assert "fbeta(2)" in with_beta["optimality"]
+    assert "fbeta(2)" not in without["optimality"]
+    assert without["config"]["betas"] == []
+
+    sweep = ("sweep", "--family", "pi1", "--pairs", "20000")
+    assert cli.main([*sweep, "--out", str(tmp_path / "sweep")]) == 0
+    for fname, digest in DISTRIBUTION_GOLDEN[sweep].items():
+        assert hashlib.sha256((tmp_path / "sweep" / fname).read_bytes()).hexdigest() == digest, fname
 
 def _count_calls(monkeypatch, name):
     """Wrap ``prtradeoff.<name>`` in every package module that binds it; returns its calls' arguments."""
