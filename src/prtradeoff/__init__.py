@@ -43,7 +43,6 @@ from .manifold import (
     DegenerateSpreadError,
     RankingPath,
     build_path,
-    correlations_vs_beta,
     marker_rankings,
     pca_project,
     rank_trajectories,
@@ -87,6 +86,7 @@ from .tradeoff import (
     TradeoffReport,
     ZeroDenominatorError,
     analyze_set,
+    correlations_vs_beta,
     equidistance_gap,
     frechet_curve,
     frechet_variance,

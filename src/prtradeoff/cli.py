@@ -27,14 +27,7 @@ import numpy as np
 from . import distributions as dist
 from . import studies
 from .ingest import ingest
-from .manifold import (
-    DegenerateSpreadError,
-    build_path,
-    correlations_vs_beta,
-    marker_rankings,
-    pca_project,
-    rank_trajectories,
-)
+from .manifold import DegenerateSpreadError, build_path, marker_rankings, pca_project, rank_trajectories
 from .tradeoff import OptimalityBreakdown, analyze_set
 
 EXIT_OK = 0
@@ -197,15 +190,8 @@ def cmd_analyze(args) -> int:
     comments = _comments(chash, args.seed)
 
     pset = ingest(args.input, args.prior)
-    grid_span = (args.grid_min, args.grid_max)
-    report = analyze_set(
-        pset,
-        extra_betas=args.beta or (),
-        grid_points=args.grid_points,
-        grid_span=grid_span,
-    )
+    report = analyze_set(pset, args.beta or (), args.grid_points, (args.grid_min, args.grid_max))
     path = build_path(pset)
-    correlations = correlations_vs_beta(path, args.grid_points, grid_span)
     pca = _pca_table(path)
 
     crossings = pset.crossings
@@ -239,7 +225,7 @@ def cmd_analyze(args) -> int:
     thetas = crossings.thetas
     tables = {  # stem: (header, columns); sqrt is correctly rounded in NumPy as in math
         "transitions": (("index", "theta", "beta"), (range(len(thetas)), thetas, np.sqrt(thetas))),
-        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), correlations.T),
+        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), report.correlations.T),
         "frechet_variance": (("beta", "variance"), report.frechet_curve.T),
         "optimality": (
             ("candidate", "p_agree", "p_optimal", "p_not_optimal", "degree", "vacuous"),

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ranking import PerformanceSet, Ranking, _check_betas, beta_grid, rank_by_score
-from .scores import SIVF, UndefinedScoreError
+from .ranking import PerformanceSet, Ranking, _check_betas, _read_only, rank_by_score
+from .scores import F1, SIVF, UndefinedScoreError
 
 
 class DegenerateSpreadError(ValueError):
@@ -27,9 +27,9 @@ class DegenerateSpreadError(ValueError):
 class RankingPath:
     """Plateau-by-plateau record of the beta sweep over one set, in read-only arrays.
 
-    ``transition_betas`` holds the distinct betas (square roots of the
-    crossing beta^2 values) at which the ranking changes; ``ranks`` has
-    one row of ranks per plateau, so it is one longer.  ``swaps[k]`` is
+    ``transition_betas`` is the set's ``crossings.transition_betas``, the
+    betas at which the ranking changes; ``ranks`` has one row of ranks
+    per plateau, so it is one longer.  ``swaps[k]`` is
     the number of pair swaps from precision to plateau k, which is the
     number of pairs plateau k orders against precision; the last one is
     d(Pr, Re).  Whether crossings coalesce, and the optimal beta^2, are
@@ -76,8 +76,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
         raise ValueError("set has tied precision or recall values; path is ambiguous")
 
     crossings = pset.crossings
-    starts = crossings.transitions
-    bounds = np.append(starts, crossings.n_crossings)  # plateau k >= 1 swaps bounds[k-1]:bounds[k]
+    bounds = np.append(crossings.transitions, crossings.n_crossings)  # plateau k >= 1 swaps bounds[k-1]:bounds[k]
     group = np.repeat(np.arange(1, len(bounds)), np.diff(bounds))
 
     ranks = np.zeros((len(bounds), len(pset)), dtype=np.int32)
@@ -91,25 +90,23 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     if not np.array_equal(ranks[-1], r_re.as_array()):
         raise RuntimeError("last plateau does not match the recall ranking")
 
-    betas = np.sqrt(crossings.thetas[starts])
-    for a in (betas, ranks, bounds):
-        a.flags.writeable = False
-    return RankingPath(pset=pset, transition_betas=betas, ranks=ranks, swaps=bounds)
+    return RankingPath(pset, crossings.transition_betas, _read_only(ranks), _read_only(bounds))
 
 
 def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
     """Rankings of the named scores, for plotting on top of the path.
 
     Precision and recall are the path endpoints already.  The balanced
-    F-score reuses its plateau's ranking; the skew-insensitive score is
-    ranked directly (and skipped when undefined on the set); the optimal
-    tradeoff is the plateau of the median crossing.
+    and the skew-insensitive F-scores are ranked directly (so F1 ties the
+    pairs of a crossing at beta = 1), each skipped when undefined on the
+    set; the optimal tradeoff is the plateau of the median crossing.
     """
-    out = {"f1": path.ranking(path.plateau_of(1.0))}
-    try:
-        out["sivf"] = rank_by_score(path.pset, SIVF)
-    except UndefinedScoreError:
-        pass
+    out = {}
+    for name, score in (("f1", F1), ("sivf", SIVF)):
+        try:
+            out[name] = rank_by_score(path.pset, score)
+        except UndefinedScoreError:
+            pass
     b2_star = path.pset.crossings.beta_star_squared
     out["optimal"] = path.ranking(path.plateau_of(math.sqrt(b2_star or 0.0)))
     return out
@@ -144,24 +141,6 @@ def pca_project(
     coords = x @ comps
     explained = (float(eigvals[0]) / total, float(eigvals[1]) / total)
     return coords, explained
-
-
-def correlations_vs_beta(
-    path: RankingPath, grid_points: int, grid_span: tuple[float, float]
-) -> np.ndarray:
-    """(beta, tau(Pr, F_beta), tau(F_beta, Re)) rows on a log grid plus 0 and every transition beta.
-
-    A read-only (m, 3) float64 array of exact step values from the plateau
-    swap counts, via the shortest-path identity d(Pr, Re) = d(Pr, F) +
-    d(F, Re), as correctly rounded ratios of discordant-pair counts.
-    """
-    total = path.pset.total_pairs
-    grid = beta_grid(grid_points, grid_span, path.transition_betas)
-    n1 = path.swaps[path.plateau_of(grid)]
-    tau1, tau2 = ((total - 2 * n) / total for n in (n1, path.swaps[-1] - n1))
-    rows = np.column_stack((grid, tau1, tau2))
-    rows.flags.writeable = False
-    return rows
 
 
 def rank_trajectories(path: RankingPath) -> np.ndarray:

@@ -27,6 +27,12 @@ from .scores import (
 )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """The array itself, not a copy, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 class LengthMismatchError(ValueError):
     pass
 
@@ -53,8 +59,7 @@ class PerformanceSet:
             parts = np.array([(p.ptn, p.pfp, p.pfn, p.ptp) for p in self.parts], dtype=float)
         if not len(parts):
             raise ValueError("empty performance set")
-        parts.setflags(write=False)
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", _read_only(parts))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != len(parts):
@@ -90,7 +95,7 @@ class PerformanceSet:
         return {"parts": self.parts, "labels": self.labels}
 
     def __setstate__(self, state):
-        state["parts"].setflags(write=False)
+        _read_only(state["parts"])
         self.__dict__.update(state)
 
 
@@ -110,8 +115,7 @@ class Ranking:
         if a.min() < 1 or a.max() > a.size:
             raise ValueError(f"ranks must lie in 1..{a.size}")
         if a.dtype != np.int32 or a.flags.writeable:
-            a = a.astype(np.int32)
-            a.flags.writeable = False
+            a = _read_only(a.astype(np.int32))
         self._ranks = a
 
     @property
@@ -194,9 +198,12 @@ class CrossingSummary:
                 opens[k] = True
                 head = t
             last = k
-        out = np.flatnonzero(opens)
-        out.flags.writeable = False
-        return out
+        return _read_only(np.flatnonzero(opens))
+
+    @cached_property
+    def transition_betas(self) -> np.ndarray:
+        """Read-only betas at which the ranking changes: the square roots of the transitions' crossings."""
+        return _read_only(np.sqrt(self.thetas[self.transitions]))
 
     @property
     def coalesced(self) -> bool:
@@ -247,13 +254,11 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
     pairs[:, 0] = iu[crossing]
     pairs[:, 1] = ju[crossing]
-    theta.flags.writeable = False
-    pairs.flags.writeable = False
     return CrossingSummary(
-        thetas=theta,
+        thetas=_read_only(theta),
         degenerate_pairs=n_deg,
         unanimous_pairs=len(iu) - n_deg - len(crossing),
-        pairs=pairs,
+        pairs=_read_only(pairs),
     )
 
 
@@ -269,9 +274,7 @@ def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:
     bad = np.flatnonzero(np.isnan(values))
     if bad.size:
         raise UndefinedScoreError(int(bad[0]), score.label())
-    ranks = ranks_from_values(values)
-    ranks.flags.writeable = False  # the ranking keeps this array as it is
-    return Ranking(ranks)
+    return Ranking(_read_only(ranks_from_values(values)))  # the ranking keeps this array as it is
 
 
 def discordance(r1: Ranking, r2: Ranking) -> tuple[int, int]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import PerformanceSet, _check_betas, beta_grid, discordance
+from .ranking import PerformanceSet, _check_betas, _read_only, beta_grid, discordance
 from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
     F1,
@@ -131,6 +131,25 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     return d_pr[back], d_re[back]
 
 
+def _variance_rows(pset: PerformanceSet, betas: np.ndarray, d_pr, d_re) -> np.ndarray:
+    """Read-only (beta, d^2(Pr, F) + d^2(F, Re)) rows from the two sides' discordant-pair counts."""
+    d1, d2 = (d / pset.total_pairs for d in (d_pr, d_re))
+    return _read_only(np.column_stack((betas, d1 * d1 + d2 * d2)))
+
+
+def _tau_rows(pset: PerformanceSet, betas: np.ndarray, d_pr, d_re) -> np.ndarray:
+    """Read-only (beta, tau(Pr, F), tau(F, Re)) rows from the two sides' discordant-pair counts."""
+    total = pset.total_pairs
+    return _read_only(np.column_stack((betas, *((total - 2 * d) / total for d in (d_pr, d_re)))))
+
+
+def _curve_betas(pset: PerformanceSet, grid_points: int, grid_span: tuple[float, float]) -> np.ndarray:
+    """The log grid, 0, every crossing beta, the geometric midpoints of adjacent ones and twice the last."""
+    roots = np.sqrt(pset.crossings.thetas)
+    mids = np.sqrt(roots[:-1] * roots[1:])
+    return beta_grid(grid_points, grid_span, np.concatenate([roots, mids, 2.0 * roots[-1:]]))
+
+
 def frechet_variance(pset: PerformanceSet, beta: float) -> float:
     """d^2(precision, F_beta) + d^2(F_beta, recall) on the set, in [0, 2]."""
     return float(frechet_curve(pset, [beta])[0, 1])
@@ -146,26 +165,29 @@ def frechet_curve(
 
     One row per beta of ``betas``, read flat.  The variance is piecewise
     constant between ranking transitions, so when ``betas`` is not given
-    the log-spaced grid is augmented with the transition betas and the
-    geometric midpoints of adjacent transitions: every plateau, including
+    the log-spaced grid is augmented with the crossing betas and the
+    geometric midpoints of adjacent crossings: every plateau, including
     the optimal one, is probed.  The counts read the cached crossings.
     """
-    if betas is None:
-        roots = np.sqrt(pset.crossings.thetas)
-        mids = np.sqrt(roots[:-1] * roots[1:])
-        betas = beta_grid(grid_points, grid_span, np.concatenate([roots, mids, 2.0 * roots[-1:]]))
-    betas = _check_betas(betas).ravel()
-    d1, d2 = (d / pset.total_pairs for d in _side_counts(pset, betas))
-    curve = np.column_stack((betas, d1 * d1 + d2 * d2))
-    curve.flags.writeable = False
-    return curve
+    betas = _curve_betas(pset, grid_points, grid_span) if betas is None else _check_betas(betas).ravel()
+    return _variance_rows(pset, betas, *_side_counts(pset, betas))
+
+
+def correlations_vs_beta(pset: PerformanceSet, grid_points: int, grid_span: tuple[float, float]) -> np.ndarray:
+    """(beta, tau(Pr, F_beta), tau(F_beta, Re)) rows on a log grid plus 0 and every transition beta.
+
+    A read-only (m, 3) float64 array of the correctly rounded (T - 2 d) / T
+    of the discordant-pair counts d that the Frechet curve reads too.
+    """
+    grid = beta_grid(grid_points, grid_span, pset.crossings.transition_betas)
+    return _tau_rows(pset, grid, *_side_counts(pset, grid))
 
 
 def geodesic_check(pset: PerformanceSet, betas) -> list[int]:
     """Exact integer residuals of the shortest-path identity, one per beta.
 
-    residual = discordant(Pr, Re) - discordant(Pr, F_beta) - discordant(F_beta, Re);
-    zero for every beta on tie-free sets.  Every ranking is computed
+    residual = discordant(Pr, Re) - discordant(Pr, F_beta) - discordant(F_beta, Re); on tie-free
+    sets, zero off the crossings and, at a transition beta, the size of its group.  Every ranking is computed
     directly from the scores, so this checks the counting shortcut of
     ``frechet_curve`` and ``build_path`` instead of relying on it.
     """
@@ -256,8 +278,12 @@ def equidistance_gap(pset: PerformanceSet, beta_squared: float) -> Fraction:
     """
     if not beta_squared >= 0:  # NaN is not
         raise ValueError(f"beta_squared must be >= 0, got {float(beta_squared)!r}")
-    d_pr, d_re = _side_counts(pset, np.array([math.sqrt(beta_squared)]))
-    return Fraction(abs(int(d_pr[0]) - int(d_re[0])), pset.total_pairs)
+    return _gap(pset, *_side_counts(pset, np.array([math.sqrt(beta_squared)])))
+
+
+def _gap(pset: PerformanceSet, d_pr: np.ndarray, d_re: np.ndarray) -> Fraction:
+    """|d(Pr, F) - d(F, Re)| at the last probe of a count pass, as an exact fraction."""
+    return Fraction(abs(int(d_pr[-1]) - int(d_re[-1])), pset.total_pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +303,7 @@ class TradeoffReport:
     equidistance_gap: Fraction | None
     heuristic: float | None
     frechet_curve: np.ndarray  # (m, 2) float64, read-only
+    correlations: np.ndarray  # (m, 3) float64, read-only: correlations_vs_beta's rows
     optimality: dict[str, OptimalityBreakdown] = field(default_factory=dict)
     skipped_candidates: dict[str, str] = field(default_factory=dict)
 
@@ -294,6 +321,7 @@ def analyze_set(
     whose score is undefined somewhere on the set are skipped and listed
     with the reason); ``extra_betas`` adds user-chosen F-scores, keyed by
     their labels.  Two different betas with one label raise ValueError.
+    The curve, the correlation rows (on a subset of its probes) and the gap at beta* read one count pass.
     """
     b2_star = pset.crossings.beta_star_squared
     d_pr_re, breakdown = _breakdowns(pset, b2_star)
@@ -322,13 +350,17 @@ def analyze_set(
         except UndefinedScoreError as exc:
             skipped[name] = str(exc)
 
+    betas = _curve_betas(pset, grid_points, grid_span)
+    d_pr, d_re = _side_counts(pset, np.append(betas, math.sqrt(b2_star or 0.0)))  # beta* is the last probe
+    k = np.searchsorted(betas, beta_grid(grid_points, grid_span, pset.crossings.transition_betas))
     return TradeoffReport(
         pset=pset,
         tau_pr_re=1.0 - 2.0 * d_pr_re / pset.total_pairs,
         discordant_pr_re=d_pr_re,
-        equidistance_gap=None if b2_star is None else equidistance_gap(pset, b2_star),
+        equidistance_gap=None if b2_star is None else _gap(pset, d_pr, d_re),
         heuristic=heur,
-        frechet_curve=frechet_curve(pset, None, grid_points, grid_span),
+        frechet_curve=_variance_rows(pset, betas, d_pr[:-1], d_re[:-1]),
+        correlations=_tau_rows(pset, betas[k], d_pr[k], d_re[k]),
         optimality=optimality,
         skipped_candidates=skipped,
     )

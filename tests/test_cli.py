@@ -71,9 +71,15 @@ def test_analyze_on_frozen_fixture(tmp_path):
     assert comments[0].startswith("# config=")
     assert "seed=0" in comments[0]
     assert header == ["beta", "tau_precision_fbeta", "tau_fbeta_recall"]
-    # correlation sides sum to 1 + tau(Pr, Re) on every grid row
+    # correlation sides sum to 1 + tau(Pr, Re) off the transitions; at a
+    # transition beta the pairs of its group tie and count on neither side
+    crossings = prtradeoff.ingest(FIXTURE).crossings
+    groups = np.diff(np.append(crossings.transitions, crossings.n_crossings))
+    tied = dict(zip(crossings.transition_betas.tolist(), groups.tolist()))
+    assert 0 < sum(float(row[0]) in tied for row in rows) < len(rows)
     for row in rows:
-        assert float(row[1]) + float(row[2]) == pytest.approx(1 + 3 / 7)
+        extra = 2 * tied.get(float(row[0]), 0) / 1596
+        assert float(row[1]) + float(row[2]) == pytest.approx(1 + 3 / 7 + extra, abs=1e-12)
 
 
 def test_analyze_reruns_are_byte_identical(tmp_path):
@@ -381,7 +387,7 @@ def _reference_analyze_csvs(csv_path, prior, betas, comment_line):
         ),
         "correlations_vs_beta.csv": (
             ("beta", "tau_precision_fbeta", "tau_fbeta_recall"),
-            prtradeoff.correlations_vs_beta(path, 41, (1e-3, 1e3)),
+            prtradeoff.correlations_vs_beta(pset, 41, (1e-3, 1e3)),
         ),
         "frechet_variance.csv": (("beta", "variance"), report.frechet_curve),
         "optimality.csv": (

@@ -17,7 +17,12 @@ before the set cached them.  The ``coalesced14.csv`` hashes and
 ``coalesced14_pca.csv.gz`` were produced by the implementation that
 wrote ``rank_trajectories.csv`` one row per (item, plateau) and formed a
 ``Fraction`` for each ``plateaus.csv`` row, before those files were
-written run by run.  The ``table1`` hashes, the ``adaptation.csv`` and
+written run by run.  The three ``correlations_vs_beta.csv`` hashes and
+``coalesced14_pca.csv.gz`` were regenerated by the implementation that
+counts each correlation row over the crossing pairs with
+``tradeoff._side_counts``, as the Frechet curve is counted, so that the
+pairs of a crossing tie at its beta, and that ranks the ``f1`` marker
+with ``rank_by_score``.  The ``table1`` hashes, the ``adaptation.csv`` and
 ``summary.json`` hashes of the pi3 and pi4 ``sweep`` runs and the
 ``pr_re.csv``, ``adaptation.csv`` and ``f1_equidistance.csv`` hashes of
 the pi5 run were regenerated by the implementation that finds the pi3
@@ -35,6 +40,7 @@ import csv
 import gzip
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +55,7 @@ GOLDEN = {
     ("nearoracle57.csv", ("--beta", "2.0")): {
         "report.json": "56338d8bc8286698b9429d5c15671a33b1649ab45a6ea6771f2a2c36ac44d928",
         "transitions.csv": "9970b3a2ee3438eb2cf495b27866ed09d531a70152251eb0932cda024f7acc50",
-        "correlations_vs_beta.csv": "6ce1ab7b9e30a333402e43eaa8dc1c2e542cdf0e8da1bc3718c0bb36b5623d13",
+        "correlations_vs_beta.csv": "b6ba7ecfc2f6b1e5ca957f945dc01180035cf4a7b98cad9532e9bd604231a614",
         "frechet_variance.csv": "51a97693df2227488dd7227b75f9165ed39ca96e090c6f11a44077a3daa1d348",
         "optimality.csv": "dde541a704a786879ac3086c5e4425e96d6646df754c9b8e44647967390b5f18",
         "plateaus.csv": "dbee403b2ad5a1b159593d84d8f49cc8437a249717e1f1dd4328926004002b0b",
@@ -59,7 +65,7 @@ GOLDEN = {
     ("roc120.csv", ()): {
         "report.json": "8eddd2ff7d40afc2b8007ef9d18eb49632edb4e3e50b34f69c824986fb386c79",
         "transitions.csv": "f46ad54e796820a8696a725328c48b6ee64f6a57a7d94c3e566329a8b9e35e39",
-        "correlations_vs_beta.csv": "3bb2cbb19f5d39c47d64f9237f19258d755e9e231c79df72954bdd7e20a1330b",
+        "correlations_vs_beta.csv": "27ca2867eea8b858735e9ee4521e58a1df3291103b571a818c1638f93b275b8a",
         "frechet_variance.csv": "97f7764879218f54ccfe026540db05ba071e7a8b6273c99095158b5ac1a54e30",
         "optimality.csv": "12eaff38149a95a0e56eef5d70109a84cad2255877ebf47d81cb348eefb1163f",
         "plateaus.csv": "b15206b0ea070e0419e2b839fd8eb3f71a9dcf48fac42940cee3d55b74980a5e",
@@ -70,7 +76,7 @@ GOLDEN = {
     ("coalesced14.csv", ()): {
         "report.json": "1c64a938405c011f788c422f1f1d58b676e7c8ff28fbe257350b903ef3a5db02",
         "transitions.csv": "123dfe4b88f97ea171fa16d913eec5b4e5face7ec92655793cd77d0d125a5ad4",
-        "correlations_vs_beta.csv": "9afbee245733ab12850269e3fb767860b07d787d607b8ea79c366703bdc07f98",
+        "correlations_vs_beta.csv": "370f3ebb6633d68c4c382f584cd18acbee67eb379dc0440f31720bbc30b1d276",
         "frechet_variance.csv": "86a4b8003abba59e259cb0fba265bf7b9d75e738aa90166d5ecfde134142b43f",
         "optimality.csv": "350c891c4098d5f2a5d598cbb26f9d3e35b34958ed56918faf17148a57039943",
         "plateaus.csv": "bdb6d0ea1c470f41a6507a62c24f940b993d84893745c3681ebee158c8c74c26",
@@ -108,6 +114,29 @@ def test_analyze_matches_golden_outputs(key, tmp_path, monkeypatch):
         assert hashlib.sha256((out / fname).read_bytes()).hexdigest() == digest, fname
 
     _assert_pca_matches(out / "pca.csv", f"{Path(name).stem}_pca.csv.gz")
+
+
+def _numeric_rows(path):
+    return [tuple(map(float, row)) for row in csv.reader(l for l in path.read_text().splitlines()[2:])]
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=[name for name, _ in GOLDEN])
+def test_analyze_correlations_imply_the_frechet_variance(key, tmp_path, monkeypatch):
+    # each correlation row is (T - 2 d) / T of two discordant-pair counts, and
+    # those counts give the Frechet variance the curve reports at the same beta
+    name, extra = key
+    out = tmp_path / "out"
+    monkeypatch.chdir(DATA)
+    assert cli.main(["analyze", "--input", name, *extra, "--out", str(out)]) == 0
+    total = json.loads((out / "report.json").read_text())["total_pairs"]
+    variance = dict(_numeric_rows(out / "frechet_variance.csv"))
+    rows = _numeric_rows(out / "correlations_vs_beta.csv")
+    assert rows
+    for beta, *taus in rows:
+        d = [round(total * (1.0 - tau) / 2.0) for tau in taus]
+        assert [(total - 2 * k) / total for k in d] == taus, beta
+        v1, v2 = d[0] / total, d[1] / total
+        assert variance[beta] == v1 * v1 + v2 * v2, beta
 
 
 def _assert_pca_matches(path, golden_name):

@@ -166,7 +166,9 @@ def test_pca_identical_rankings_map_together():
     coords, _ = pca_project(path, markers)
     names = list(markers)
     f1_row = path.n_plateaus + names.index("f1")
+    # no crossing of this set lies at beta = 1, so F1 ranks as its plateau does
     f1_plateau = path.plateau_of(1.0)
+    assert markers["f1"] == rank_by_score(pset, fbeta(1.0)) == path.ranking(f1_plateau)
     assert coords[f1_row] == pytest.approx(coords[f1_plateau], abs=1e-12)
 
 
@@ -230,7 +232,8 @@ def test_path_and_curves_are_read_only_arrays():
         (path.swaps, np.int64, (m,)),
         (curve, np.float64, (len(betas), 2)),
         (report.frechet_curve, np.float64, (len(frechet_curve(path.pset)), 2)),
-        (correlations_vs_beta(path, 41, (1e-3, 1e3)), np.float64, (len(grid), 3)),
+        (correlations_vs_beta(path.pset, 41, (1e-3, 1e3)), np.float64, (len(grid), 3)),
+        (report.correlations, np.float64, (len(grid), 3)),
     ]:
         assert (a.dtype, a.shape) == (dtype, shape)
         assert not a.flags.writeable

@@ -6,7 +6,9 @@ operations and decides only the close ones one at a time;
 crossings in place; ``beta_grid`` builds every probe grid with one
 ``np.unique``; ``RankingPath.plateau_of`` is one ``searchsorted``.  The
 oracles are the sequential grouping loop, ``np.median``,
-``sorted(set(...))`` and ``bisect``, kept in this file only.
+``sorted(set(...))`` and ``bisect``, kept in this file only.  The rows of
+``correlations_vs_beta`` are checked against rankings computed directly
+from the scores at every grid beta, and against the Frechet curve.
 """
 
 import dataclasses
@@ -20,14 +22,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from prtradeoff import (
+    PRECISION,
+    RECALL,
     TIE_TOL,
     CrossingSummary,
     Performance,
     PerformanceSet,
+    analyze_set,
     build_path,
     correlations_vs_beta,
+    discordance,
+    fbeta,
     frechet_curve,
     ingest,
+    rank_by_score,
     sample_parts,
     uniform_spec,
 )
@@ -107,6 +115,9 @@ def test_transitions_match_the_sequential_grouping(base, gaps):
     assert summary.coalesced == oracle_coalesced(thetas)
     assert not summary.transitions.flags.writeable
     assert summary.transitions is summary.transitions  # computed once
+    assert hexes(summary.transition_betas) == hexes(math.sqrt(t) for t in thetas[summary.transitions])
+    assert not summary.transition_betas.flags.writeable
+    assert summary.transition_betas is summary.transition_betas
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,6 +151,7 @@ def test_the_path_groups_its_swaps_like_the_sequential_loop(seed, n, base, data)
     path = build_path(pset)
     unique, _ = sequential_groups(thetas)
     assert path.transition_betas.tolist() == [math.sqrt(t) for t in unique]
+    assert path.transition_betas is pset.crossings.transition_betas
     assert np.array_equal(path.swaps, oracle_swaps(thetas))
     assert pset.crossings.coalesced == oracle_coalesced(thetas)
     assert path.n_plateaus == len(unique) + 1
@@ -156,20 +168,14 @@ def old_frechet_grid(pset, grid_points, grid_span):
     return sorted(bs)
 
 
-def old_correlations(path, grid_points, grid_span):
-    total = path.pset.total_pairs
-    d_pr_re = path.swaps[-1]
-    grid = sorted(
-        set(np.geomspace(grid_span[0], grid_span[1], grid_points))
-        | set(path.transition_betas)
-        | {0.0}
-    )
-    rows = []
-    for b in grid:
-        n1 = path.swaps[bisect_left(path.transition_betas, float(b))]
-        n2 = d_pr_re - n1
-        rows.append((b, (total - 2 * n1) / total, (total - 2 * n2) / total))
-    return rows
+def direct_counts(pset, betas):
+    """(d(Pr, F_beta), d(F_beta, Re)) per beta, from rankings computed directly from the scores."""
+    r_pr, r_re = rank_by_score(pset, PRECISION), rank_by_score(pset, RECALL)
+    out = []
+    for b in betas:
+        r = rank_by_score(pset, fbeta(b))
+        out.append((discordance(r_pr, r)[0], discordance(r, r_re)[0]))
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
 def assert_grids_match_the_old_code(pset, grid_points, grid_span):
@@ -178,12 +184,26 @@ def assert_grids_match_the_old_code(pset, grid_points, grid_span):
     assert hexes(b for b, _ in curve) == hexes(old)
     assert hexes(v for _, v in curve) == hexes(v for _, v in frechet_curve(pset, old))
     path = build_path(pset)
-    new_rows = correlations_vs_beta(path, grid_points, grid_span)
-    old_rows = old_correlations(path, grid_points, grid_span)
-    assert [hexes(r) for r in new_rows] == [hexes(r) for r in old_rows]
     grid = beta_grid(grid_points, grid_span, path.transition_betas)
-    assert hexes(grid) == hexes(r[0] for r in old_rows)
-    assert path.plateau_of(grid).tolist() == [bisect_left(path.transition_betas, b) for b in grid.tolist()]
+    steps = path.transition_betas
+    assert hexes(grid) == hexes(sorted(set(np.geomspace(*grid_span, grid_points)) | set(steps) | {0.0}))
+    assert path.plateau_of(grid).tolist() == [bisect_left(steps, b) for b in grid.tolist()]
+
+
+def assert_correlations_match_direct_rankings(pset, grid_points, grid_span):
+    """Each row is (T - 2 d) / T of the direct counts d, and implies the curve's variance at its beta."""
+    total = pset.total_pairs
+    rows = correlations_vs_beta(pset, grid_points, grid_span)
+    grid = beta_grid(grid_points, grid_span, pset.crossings.transition_betas)
+    assert hexes(rows[:, 0]) == hexes(grid)
+    d = direct_counts(pset, grid)
+    assert hexes(rows[:, 1:].ravel()) == hexes(((total - 2 * d) / total).ravel())
+    assert np.array_equal(analyze_set(pset, (), grid_points, grid_span).correlations, rows)
+    curve = frechet_curve(pset, None, grid_points, grid_span)
+    k = np.searchsorted(curve[:, 0], grid)
+    assert hexes(curve[k, 0]) == hexes(grid)  # every grid beta is one of the curve's
+    d1, d2 = d[:, 0] / total, d[:, 1] / total
+    assert hexes(curve[k, 1]) == hexes(d1 * d1 + d2 * d2)
 
 
 def roc_pset(points, prior=0.5):
@@ -203,13 +223,14 @@ spans = st.sampled_from([(1e-3, 1e3), (0.1, 10.0), (0.5, 0.5), (2.0, 3.0)])
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(coarse_points, st.integers(1, 50), spans)
-def test_grids_and_correlations_match_the_old_code(points, grid_points, grid_span):
+def test_grids_match_the_old_code_and_correlations_the_direct_rankings(points, grid_points, grid_span):
     pset = roc_pset(points)
     try:
         build_path(pset)
     except ValueError:
         assume(False)
     assert_grids_match_the_old_code(pset, grid_points, grid_span)
+    assert_correlations_match_direct_rankings(pset, grid_points, grid_span)
 
 
 @pytest.mark.parametrize(
@@ -220,20 +241,22 @@ def test_grids_and_correlations_match_the_old_code(points, grid_points, grid_spa
     ],
     ids=["two-pairs-at-one-theta", "three-items-as-a-block"],
 )
-def test_grids_and_correlations_match_the_old_code_on_coalesced_sets(pset):
+def test_grids_match_the_old_code_and_correlations_the_direct_rankings_on_coalesced_sets(pset):
     assert pset.crossings.coalesced
     assert pset.crossings.coalesced == oracle_coalesced(pset.crossings.thetas)
     assert_grids_match_the_old_code(pset, 41, (1e-3, 1e3))
+    assert_correlations_match_direct_rankings(pset, 41, (1e-3, 1e3))
 
 
-@pytest.mark.parametrize("name", ["roc120.csv", "nearoracle57.csv"])
-def test_grids_and_plateaus_match_the_old_code_on_the_fixtures(name):
+@pytest.mark.parametrize("name", ["roc120.csv", "nearoracle57.csv", "coalesced14.csv"])
+def test_grids_plateaus_and_correlations_match_their_oracles_on_the_fixtures(name):
     pset = ingest(DATA / name)
     thetas = pset.crossings.thetas
     assert pset.crossings.transitions.tolist() == oracle_transitions(thetas)
     assert np.array_equal(build_path(pset).swaps, oracle_swaps(thetas))
-    assert_grids_match_the_old_code(pset, 41, (1e-3, 1e3))
-    assert_grids_match_the_old_code(pset, 17, (0.01, 50.0))
+    for grid_points, grid_span in ((41, (1e-3, 1e3)), (17, (0.01, 50.0))):
+        assert_grids_match_the_old_code(pset, grid_points, grid_span)
+        assert_correlations_match_direct_rankings(pset, grid_points, grid_span)
 
 
 def test_plateau_of_rejects_nan_and_negative_betas():
@@ -248,14 +271,14 @@ def test_plateau_of_rejects_nan_and_negative_betas():
 
 
 def test_correlations_reject_a_nan_grid():
-    path = build_path(ingest(DATA / "nearoracle57.csv"))
+    pset = ingest(DATA / "nearoracle57.csv")
     with pytest.raises(ValueError, match="grid span must satisfy 0 < min <= max < inf"):
-        correlations_vs_beta(path, 5, (math.nan, 1.0))
+        correlations_vs_beta(pset, 5, (math.nan, 1.0))
 
 
 @pytest.mark.parametrize("span", [(0.0, 1.0), (-1.0, 1.0), (1e-3, math.inf), (math.nan, 1.0), (1.0, math.nan), (2.0, 1.0)])
 def test_both_grids_reject_a_span_outside_the_positive_reals(span):
-    path = build_path(ingest(DATA / "nearoracle57.csv"))
-    for probe in (lambda: frechet_curve(path.pset, None, 5, span), lambda: correlations_vs_beta(path, 5, span)):
+    pset = ingest(DATA / "nearoracle57.csv")
+    for probe in (lambda: frechet_curve(pset, None, 5, span), lambda: correlations_vs_beta(pset, 5, span)):
         with pytest.raises(ValueError, match="grid span must satisfy 0 < min <= max < inf"):
             probe()

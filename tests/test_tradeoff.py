@@ -227,6 +227,10 @@ def test_geodesic_identity_exact():
         pset = random_pset(seed + 100, 12)
         betas = list(np.geomspace(0.01, 100, 25)) + [0.0]
         assert geodesic_check(pset, betas) == [0] * len(betas)
+        # at a transition beta the pairs of its group tie, and each is missing from both sides
+        crossings = pset.crossings
+        groups = np.diff(np.append(crossings.transitions, crossings.n_crossings))
+        assert geodesic_check(pset, crossings.transition_betas) == groups.tolist()
         # at beta = 0 the whole distance sits on the recall side
         assert frechet_variance(pset, 0.0) == pytest.approx(
             (discordance(rank_by_score(pset, PRECISION), rank_by_score(pset, RECALL))[0]
@@ -472,5 +476,5 @@ def test_a_report_holds_only_what_the_analysis_computes():
     # the set's size, pair count and crossing facts are read from report.pset
     assert [f.name for f in dataclasses.fields(TradeoffReport)] == [
         "pset", "tau_pr_re", "discordant_pr_re", "equidistance_gap",
-        "heuristic", "frechet_curve", "optimality", "skipped_candidates",
+        "heuristic", "frechet_curve", "correlations", "optimality", "skipped_candidates",
     ]
