@@ -451,17 +451,19 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # Near-oracle (pi5) numerics.  No closed form is available for the
-# correlations against the F-scores, so the optimal offset (at a fixed
-# prior) and the prior at which offset 1 is optimal are located by
-# bisection on the equidistance gap, Monte Carlo estimated with common
-# random numbers so the gap is a fixed deterministic function of the
-# probe during the search.
+# correlations against the F-scores, so they are Monte Carlo estimated
+# on frozen pairs, and each side of the equidistance gap is a count: A
+# pairs ordered by the F-score against precision, B against recall.  At
+# a fixed prior every counted pair flips sides once, at its crossing
+# offset, so the optimal offset is the median of the crossings
+# (``mc_optimal_vertex_offset_near_oracle``).  The prior at which offset
+# 1 is optimal is located by bisection on the gap, with common random
+# numbers so the gap is a fixed deterministic function of the probe
+# during the search.
 #
-# On the frozen pairs each side of the gap is a count: A pairs ordered by
-# the F-score against precision, B against recall.  A pair changes sides
-# only at its breakpoints in the probed variable, and every later probe
-# of a bisection lies inside the current bracket.  So each step splits
-# the pairs still live (``_near_oracle_bisection``): a pair without a
+# A pair changes sides only at its breakpoints in the prior, and every
+# later probe of the bisection lies inside the current bracket.  So each
+# step splits the pairs still live (``_split_prior``): a pair without a
 # breakpoint in the bracket, widened by ``2 _BAND (1 + end)``, keeps one
 # state over it, adds that state to a fixed base and is never read
 # again.  The live pairs, and every ill-conditioned pair, are decided at
@@ -469,9 +471,10 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 # (``_discordant``), so every probe sees exactly a full pass's counts.
 #
 # The frozen pairs are the columns of one (4, n) array of uniform draws,
-# but no search holds it: the first step reads it ``_WINDOW`` pairs at a
-# time from the Philox stream (``_near_oracle_window``), and each later
-# step reads only the uniforms of the pairs the step before kept live.
+# but no search holds it: the median and the first bisection step read
+# it ``_WINDOW`` pairs at a time from the Philox stream
+# (``_near_oracle_window``), and each later step reads only the uniforms
+# of the pairs the step before kept live.
 # ---------------------------------------------------------------------------
 
 # Each bisection step widens its bracket end x by 2 _BAND (1 + x) before
@@ -479,12 +482,12 @@ def adapted_beta(family: str, prior_pos: float) -> tuple[float, float]:
 # bracket stays live and is decided directly at the probe.  The band sets
 # only how much work goes to those direct decisions, never a result.
 _BAND = 1e-6
-# Pairs whose slope, leading coefficient or discriminant is below this in
-# magnitude stay live through a whole search and are decided directly at
-# every probe: their breakpoints are unstable or their signs barely leave
-# zero.  For every other pair the float signs of a full pass can disagree
-# with its exact breakpoints only within about 1e-9 of them, far inside
-# the band by which each bracket is widened.
+# Pairs whose c, leading coefficient or discriminant is below this in
+# magnitude stay live through the whole prior search and are decided
+# directly at every probe: their breakpoints are unstable or their signs
+# barely leave zero.  For every other pair the float signs of a full
+# pass can disagree with its exact breakpoints only within about 1e-9 of
+# them, far inside the band by which each bracket is widened.
 _ILL_CONDITIONED = 1e-5
 _WINDOW = 1 << 14  # frozen pairs per window read from the stream, and per kept piece
 
@@ -558,55 +561,37 @@ def _popping(pieces: list):
         yield pieces.pop()
 
 
-def _near_oracle_bisection(
-    n_pairs: int, seed: int, lo: float, hi: float, steps: int, middle, split, decide, rising: bool
-) -> float:
-    """Bisection on the equidistance gap over the frozen pairs, reading only the pairs still live.
+def _split_prior(u, left, right):
+    """Which pairs stay live over the priors [left, right], and the (A, B) counts of the others.
 
-    Each step probes ``middle(lo, hi)``.  ``split(u, left, right)`` takes
-    the uniforms ``u`` of some pairs and the bracket widened to [left,
-    right]; it returns which pairs stay live (the ill-conditioned ones and
-    those with a breakpoint in [left, right]) and the (A, B) counts of
-    the others, whose state is the same at every point of [left, right].
-    Those counts join a fixed base; ``decide(u, probe)`` flags the live
-    pairs in A and in B.  The first step reads the pairs from the stream,
-    each later one the live pieces the step before kept, merged into
-    pieces of at least ``_WINDOW`` pairs.  A positive gap raises ``lo`` when ``rising`` and
-    lowers ``hi`` when not.  ValueError when the gap keeps one sign over
-    the whole bracket, so that one end never moves.
+    With a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision
+    and F orders of a pair at prior p are the signs of g(p) = b + (a - b) p
+    and h(p) = p g(p) + (1 - p) c, and recall's is the sign of c.  So
+    A = [g < 0 < h] and B = [h < 0 < c], and only pairs with c > 0 count.
+    Their breakpoints are the root of g and the real roots of h.  A pair
+    stays live when it is ill-conditioned or has a breakpoint in [left,
+    right]; every other pair has the state it has at the middle of
+    [left, right] over the whole of it.
     """
-    bracket = (lo, hi)
-    base = np.zeros(2, np.int64)
-    pieces = _near_oracle_blocks(n_pairs, seed)
-    for _ in range(steps):
-        mid = middle(lo, hi)
-        left, right = lo - 2.0 * _BAND * (1.0 + lo), hi + 2.0 * _BAND * (1.0 + hi)
-        live = np.zeros(2, np.int64)
-        kept, held, size = [], [], 0
-        for u in pieces:
-            keep, leaving = split(u, left, right)
-            base += leaving
-            u = np.compress(keep, u, axis=1)
-            live += [np.count_nonzero(flags) for flags in decide(u, mid)]
-            held.append(u)
-            size += u.shape[1]
-            if size >= _WINDOW:
-                kept.append(np.concatenate(held, axis=1))
-                held, size = [], 0
-        if held:
-            kept.append(np.concatenate(held, axis=1))
-        pieces = _popping(kept)
-        a, b = (base + live).tolist()
-        if (_tau(a, n_pairs) - _tau(b, n_pairs) > 0) == rising:
-            lo = mid
-        else:
-            hi = mid
-    if lo == bracket[0] or hi == bracket[1]:
-        raise ValueError(
-            f"the equidistance gap keeps one sign over the bracket [{bracket[0]:g}, {bracket[1]:g}] "
-            f"on {n_pairs} sampled pairs; sample more pairs"
-        )
-    return middle(lo, hi)
+    ux, uy, vx, vy = u
+    c = uy - vy
+    b = uy * vx - vy * ux
+    lead = (vx - ux) - b
+    q = b - c
+    disc = q * q - 4.0 * lead * c
+    keep = (np.abs(c) < _ILL_CONDITIONED) | (np.abs(lead) < _ILL_CONDITIONED)
+    keep |= np.abs(disc) < _ILL_CONDITIONED
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
+        for root in (-b / lead, w / lead, c / w):
+            keep |= (root >= left) & (root <= right)
+    keep &= c > -_ILL_CONDITIONED
+    mid = 0.5 * (left + right)
+    g = b + lead * mid
+    h = mid * g + (1.0 - mid) * c
+    in_a = ~keep & (g < 0) & (h > 0)
+    in_b = ~keep & (h < 0) & (c > 0)
+    return keep, (np.count_nonzero(in_a), np.count_nonzero(in_b))
 
 
 def mc_tau_sides_near_oracle(
@@ -630,34 +615,33 @@ def mc_tau_sides_near_oracle(
 def mc_optimal_vertex_offset_near_oracle(
     prior_pos: float, n_pairs: int = 10**6, seed: int = 0
 ) -> float:
-    """Vertex offset equalizing the two correlation sides under pi5.
+    """Vertex offset equalizing the two correlation sides under pi5: the median of the pairs' crossings.
 
     Only a pair with s_pr < 0 < s_re is ever counted.  Its F order flips
     once, at ell = (y2 x1 - y1 x2) / (y1 - y2): below it the pair is in B,
-    above it in A.  The sample median of these crossings equalizes the
-    sides, which is the median theorem at the level of pairs.  A positive
-    gap means the score is too close to precision: the offset goes up.
-    ValueError when the gap keeps one sign over [1e-4, 100].
+    above it in A.  So the sample median of these crossings equalizes the
+    sides, which is the median theorem at the level of pairs.  It is taken
+    as ``CrossingSummary.beta_star_squared`` takes it: the middle
+    crossing, or the mean of the two middle ones.  ValueError when no
+    sampled pair is counted.
     """
     p = _check_prior_pos(prior_pos)
     _check_n_pairs(n_pairs)
-
-    def split(u, left, right):
-        x1, y1, x2, y2 = _near_oracle_points(u, p)
-        slope = y1 - y2
-        crossing = (slope >= _ILL_CONDITIONED) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ell = (y2 * x1 - y1 * x2) / slope
-        in_a, in_b = crossing & (ell < left), crossing & (ell > right)
-        keep = (np.abs(slope) < _ILL_CONDITIONED) | (crossing & ~in_a & ~in_b)
-        return keep, (np.count_nonzero(in_a), np.count_nonzero(in_b))
-
-    def decide(u, offset):
-        return _discordant(_near_oracle_points(u, p), offset)
-
-    return _near_oracle_bisection(
-        n_pairs, seed, 1e-4, 100.0, 60, lambda lo, hi: math.sqrt(lo * hi), split, decide, rising=True
-    )
+    pool = []
+    for u in _near_oracle_blocks(n_pairs, seed):
+        x1, y1, x2, y2 = points = _near_oracle_points(u, p)
+        counted = (y1 > y2) & (_pencil_sign(x1, y1, x2, y2, 0.0) < 0)
+        x1, y1, x2, y2 = np.compress(counted, points, axis=1)
+        pool.append((y2 * x1 - y1 * x2) / (y1 - y2))
+    crossings = np.concatenate(pool)
+    m = len(crossings)
+    if not m:
+        raise ValueError(
+            f"precision and recall order none of the {n_pairs} sampled pairs oppositely; sample more pairs"
+        )
+    crossings.partition([(m - 1) // 2, m // 2])
+    lo, hi = float(crossings[(m - 1) // 2]), float(crossings[m // 2])
+    return lo if m % 2 else (lo + hi) / 2
 
 
 def mc_pencil_optimality(
@@ -700,40 +684,44 @@ def sivf_equidistance_prior_near_oracle(n_pairs: int = 10**6, seed: int = 0) -> 
     """The positive prior at which the skew-insensitive F-score is the pi5 optimum.
 
     The skew-insensitive score has vertex offset 1 at every prior; this
-    finds the prior whose optimal offset is 1 (about 0.561).  With
-    a = vx - ux, b = uy vx - vy ux and c = uy - vy, the precision and F
-    orders of a pair at prior p are the signs of g(p) = b + (a - b) p and
-    h(p) = p g(p) + (1 - p) c, and recall's is the sign of c.  So
-    A = [g < 0 < h] and B = [h < 0 < c], and only pairs with c > 0 count.
-    Their breakpoints are the root of g and the real roots of h.
-    ValueError when the gap keeps one sign over [0.05, 0.95].
+    finds the prior whose optimal offset is 1 (about 0.561), by 50 steps
+    of bisection on the equidistance gap over [0.05, 0.95]: a positive
+    gap lowers the upper end.  Each step reads only the pairs still live
+    (``_split_prior``).  The first step reads them from the stream, each
+    later one the live pieces the step before kept, merged into pieces of
+    at least ``_WINDOW`` pairs.  ValueError when the gap keeps one sign
+    over the whole bracket, so that one end never moves.
     """
     _check_n_pairs(n_pairs)
-
-    def split(u, left, right):
-        ux, uy, vx, vy = u
-        c = uy - vy
-        b = uy * vx - vy * ux
-        lead = (vx - ux) - b
-        q = b - c
-        disc = q * q - 4.0 * lead * c
-        keep = (np.abs(c) < _ILL_CONDITIONED) | (np.abs(lead) < _ILL_CONDITIONED)
-        keep |= np.abs(disc) < _ILL_CONDITIONED
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = -0.5 * (q + np.copysign(np.sqrt(disc), q))  # NaN without real roots
-            for root in (-b / lead, w / lead, c / w):
-                keep |= (root >= left) & (root <= right)
-        keep &= c > -_ILL_CONDITIONED
-        mid = 0.5 * (left + right)
-        g = b + lead * mid
-        h = mid * g + (1.0 - mid) * c
-        in_a = ~keep & (g < 0) & (h > 0)
-        in_b = ~keep & (h < 0) & (c > 0)
-        return keep, (np.count_nonzero(in_a), np.count_nonzero(in_b))
-
-    def decide(u, prior):
-        return _discordant(_near_oracle_points(u, prior), 1.0)
-
-    return _near_oracle_bisection(
-        n_pairs, seed, 0.05, 0.95, 50, lambda lo, hi: 0.5 * (lo + hi), split, decide, rising=False
-    )
+    lo, hi = 0.05, 0.95
+    base = np.zeros(2, np.int64)
+    pieces = _near_oracle_blocks(n_pairs, seed)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        left, right = lo - 2.0 * _BAND * (1.0 + lo), hi + 2.0 * _BAND * (1.0 + hi)
+        live = np.zeros(2, np.int64)
+        kept, held, size = [], [], 0
+        for u in pieces:
+            keep, leaving = _split_prior(u, left, right)
+            base += leaving
+            u = np.compress(keep, u, axis=1)
+            live += [np.count_nonzero(flags) for flags in _discordant(_near_oracle_points(u, mid), 1.0)]
+            held.append(u)
+            size += u.shape[1]
+            if size >= _WINDOW:
+                kept.append(np.concatenate(held, axis=1))
+                held, size = [], 0
+        if held:
+            kept.append(np.concatenate(held, axis=1))
+        pieces = _popping(kept)
+        a, b = (base + live).tolist()
+        if _tau(a, n_pairs) - _tau(b, n_pairs) > 0:
+            hi = mid
+        else:
+            lo = mid
+    if lo == 0.05 or hi == 0.95:
+        raise ValueError(
+            "the equidistance gap keeps one sign over the bracket [0.05, 0.95] "
+            f"on {n_pairs} sampled pairs; sample more pairs"
+        )
+    return 0.5 * (lo + hi)

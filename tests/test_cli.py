@@ -212,13 +212,23 @@ def test_failing_sweep_writes_nothing(tmp_path, family):
 
 
 def test_sweep_pi5_on_too_few_pairs_exits_2_and_writes_nothing(tmp_path, capsys):
-    # on 3 pairs the equidistance gap keeps its sign over the searched
-    # bracket: no offset equalizes the sides, so none is reported
+    # on 3 pairs precision and recall order no pair oppositely at some
+    # prior: there is no crossing to take the median of, so no offset
     out = tmp_path / "out"
     argv = ["sweep", "--family", "pi5", "--param", "0.3", "--pairs", "3", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "sample more pairs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_pi5_reports_offsets_above_100(tmp_path):
+    # at prior 0.995 the median crossing is near 194, outside the [1e-4, 100]
+    # that the offset search once bisected over
+    out = tmp_path / "out"
+    argv = ["sweep", "--family", "pi5", "--param", "0.995", "--pairs", "20000", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _, _, rows = read_csv_rows(out / "adaptation.csv")
+    assert {float(row[0]): float(row[1]) for row in rows}[0.995] > 100.0
 
 
 def test_manifold_command(tmp_path):

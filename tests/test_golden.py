@@ -28,7 +28,10 @@ with ``rank_by_score``.  The ``table1`` hashes, the ``adaptation.csv`` and
 the pi5 run were regenerated by the implementation that finds the pi3
 and pi4 optimum by float bisection on the closed-form equidistance gap,
 and builds the prior grid from exact decimals, so that pi5's ``--param
-0.3`` is one of the grid's nine rows.  The ``analyze`` and ``manifold``
+0.3`` is one of the grid's nine rows.  The pi5 ``adaptation.csv`` hash was
+regenerated by the implementation that takes the optimal offset as the
+median of the sampled crossings, the mean of the two middle ones on an
+even pool, instead of bisecting on the equidistance gap.  The ``analyze`` and ``manifold``
 runs use a relative ``--input`` from inside ``tests/data``, because the
 input path is part of the config hash that every output carries.  ``pca.csv`` goes
 through an eigendecomposition whose last bits depend on the
@@ -202,7 +205,7 @@ DISTRIBUTION_GOLDEN = {
         "summary.json": "16acdf28836c19ef00b9813fde39ff071ecc5facf82d93ed985111d07324f055",
     },
     ("sweep", "--family", "pi5", "--param", "0.3", "--pairs", "20000"): {
-        "adaptation.csv": "a051c30c2124ea57e168f02e3657aee46022e0b3d0818f94e822ec7c5bfd55e0",
+        "adaptation.csv": "7283a0afdf1eaade1941a203734059b498a962527e0db832f653cdc2ee6a2ad3",
         "f1_equidistance.csv": "435d18f12fa30c004bf6bd089a4b6a845743da20785d37f083a1d478a485498a",
         "pr_re.csv": "41c0f570bb0be382c7b179afdd6bd019a10eca560e930af16d980998d45fb3aa",
         "summary.json": "3b3e2a17251117fda813f9b07a88cd636d602d8b1aa7858ac02798683c55c781",

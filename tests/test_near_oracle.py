@@ -1,11 +1,15 @@
-"""The near-oracle searches keep only the pairs still live in their bracket; a full pass over every pair is the oracle.
+"""The near-oracle searches read the frozen pairs a window at a time; passes over the whole array are the oracles.
 
-``_full_pass_discordant`` and the two bisections below are copies of the
-implementation that evaluated every frozen pair at every probe, run on
-the whole (4, n) array of uniforms, which the searches themselves only
-read a window at a time.  The searches must return exactly the same
-floats, and at every probe they must count exactly the full pass's
-(A, B), also at a probe exactly on a breakpoint.  Uniforms
+The offset search must return exactly the median of the crossings,
+computed below from its definition on the whole (4, n) array of
+uniforms, and split the sides that ``mc_tau_sides_near_oracle`` counts
+evenly.  The prior search keeps only the pairs still live in its
+bracket.  ``_full_pass_discordant`` and the prior bisection below are
+copies of the implementation that evaluated every frozen pair at every
+probe, run on the whole array.  The prior search must return exactly the
+same float, and at every probe it must count exactly the full pass's
+(A, B), also at a probe exactly on a breakpoint.  The offset bisection
+of that implementation is kept as a reference for the median.  Uniforms
 quantized to multiples of 1/16 force coincident points, pairs with
 c = uy - vy = 0, linear and double-rooted h, and breakpoints exactly on
 dyadic probes such as the first prior probe 0.5; nudging some of them by
@@ -46,7 +50,7 @@ def _full_pass_gap(uniforms, prior, offset, trace):
 
 
 def _full_pass_offset(uniforms, prior, trace=None):
-    """The offset bisection; ``trace`` collects its (A, B) at each probe."""
+    """The offset bisection that the median replaced; ``trace`` collects its (A, B) at each probe."""
     trace = [] if trace is None else trace
     lo, hi = 1e-4, 100.0
     for _ in range(60):
@@ -69,6 +73,23 @@ def _full_pass_prior(uniforms, trace=None):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _crossings(uniforms, prior):
+    """The crossing offsets of the pairs precision and recall order oppositely, sorted."""
+    ux, uy, vx, vy = uniforms
+    x1, y1 = ux * prior, prior + uy * (1.0 - prior)
+    x2, y2 = vx * prior, prior + vy * (1.0 - prior)
+    counted = (y1 > y2) & (np.sign(y1 * x2 - y2 * x1) < 0)
+    x1, y1, x2, y2 = x1[counted], y1[counted], x2[counted], y2[counted]
+    return np.sort((y2 * x1 - y1 * x2) / (y1 - y2))
+
+
+def _median_offset(uniforms, prior):
+    """The median crossing: the middle one, or the mean of the two middle ones."""
+    thetas = _crossings(uniforms, prior)
+    m = len(thetas)
+    return float(thetas[m // 2]) if m % 2 else (float(thetas[m // 2 - 1]) + float(thetas[m // 2])) / 2
 
 
 def _uniform(n_pairs, seed):
@@ -104,8 +125,7 @@ def test_searches_equal_full_pass_bisection(seed):
     uniforms = _uniform(n, seed)
     assert dist.sivf_equidistance_prior_near_oracle(n, seed) == _full_pass_prior(uniforms)
     for prior in PRIORS:
-        got = dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed)
-        assert got == _full_pass_offset(uniforms, prior), prior
+        assert dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed) == _median_offset(uniforms, prior), prior
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -115,8 +135,7 @@ def test_searches_equal_full_pass_bisection_on_quantized_uniforms(seed, monkeypa
     uniforms = _quantized(n, seed)
     assert dist.sivf_equidistance_prior_near_oracle(n, seed) == _full_pass_prior(uniforms)
     for prior in PRIORS:
-        got = dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed)
-        assert got == _full_pass_offset(uniforms, prior), prior
+        assert dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed) == _median_offset(uniforms, prior), prior
 
 
 DRAWS = pytest.mark.parametrize("draw", [_uniform, _quantized], ids=["uniform", "quantized"])
@@ -146,37 +165,26 @@ def test_counts_equal_full_pass_at_every_probe(draw, n, seed, window, monkeypatc
         x1, y1, x2, y2 = 0.5 * ux, 0.5 + 0.5 * uy, 0.5 * vx, 0.5 + 0.5 * vy
         on = (y1 * x2 - y2 * x1 == 0) | (y1 * (x2 + 1.0) - y2 * (x1 + 1.0) == 0)
         assert np.any(on & (uy > vy))
-    searches = [(lambda: dist.sivf_equidistance_prior_near_oracle(n, seed), lambda t: _full_pass_prior(uniforms, t))]
-    searches += [
-        (
-            functools.partial(dist.mc_optimal_vertex_offset_near_oracle, prior, n, seed),
-            functools.partial(_full_pass_offset, uniforms, prior),
-        )
-        for prior in PRIORS
-    ]
     seen = _counted_probes(monkeypatch)
-    for search, full_pass in searches:
-        seen.clear()
-        got = search()
-        want = []
-        assert got == full_pass(want)
-        assert list(zip(seen[::2], seen[1::2])) == want
+    got = dist.sivf_equidistance_prior_near_oracle(n, seed)
+    want = []
+    assert got == _full_pass_prior(uniforms, want)
+    assert list(zip(seen[::2], seen[1::2])) == want
 
 
-@pytest.mark.parametrize(
-    "search",
-    [
-        lambda: dist.sivf_equidistance_prior_near_oracle(3, 0),
-        lambda: dist.mc_optimal_vertex_offset_near_oracle(0.1, 3, 0),
-        lambda: dist.mc_optimal_vertex_offset_near_oracle(0.3, 3, 0),
-    ],
-    ids=["prior", "offset-0.1", "offset-0.3"],
-)
-def test_a_gap_that_keeps_its_sign_is_an_error_not_a_bracket_end(search):
+def test_a_gap_that_keeps_its_sign_is_an_error_not_a_bracket_end():
     # on 3 pairs the gap has one sign over the whole bracket: a bisection
-    # would report the bracket's end (0.95, 1e-4) as the optimum
+    # would report the bracket's end (0.95) as the optimum
     with pytest.raises(ValueError, match=r"keeps one sign over the bracket \[.+\] on 3 sampled pairs; sample more"):
-        search()
+        dist.sivf_equidistance_prior_near_oracle(3, 0)
+
+
+def test_an_offset_without_crossings_is_an_error():
+    # no pair of these 3 is ordered oppositely by precision and recall: both
+    # sides are 0 at every offset, and there is no median to report
+    assert len(_crossings(_uniform(3, 0), 0.3)) == 0
+    with pytest.raises(ValueError, match="none of the 3 sampled pairs oppositely; sample more pairs"):
+        dist.mc_optimal_vertex_offset_near_oracle(0.3, 3, 0)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 65535, 65537, 3 * 65536 + 3])
@@ -257,7 +265,8 @@ def test_searches_hold_under_half_the_frozen_uniforms(search):
     # array, the three searches peaked at 1.34, 1.21 and 1.14 times their
     # size at 10**6 pairs; read block by block into sorted breakpoints, at
     # 0.37, 0.27 and 0.20; read a window at a time and kept only while
-    # live, at 0.30, 0.22 and 0.05.
+    # live, at 0.30, 0.22 and 0.05.  The offset search, which keeps only
+    # the crossings it takes the median of, peaks at 0.10.
     tracemalloc.start()
     try:
         search()
@@ -283,3 +292,62 @@ def test_searches_free_their_memory_without_the_cycle_collector(search):
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+def _assert_even_split(prior, offset, n, seed, uniforms, seen):
+    """At ``offset``, A and B differ by at most 1 plus the crossings equal to it, in the sides' own counts."""
+    seen.clear()
+    dist.mc_tau_sides_near_oracle(prior, offset, n, seed)
+    a, b = seen
+    ties = np.count_nonzero(_crossings(uniforms, prior) == offset)
+    assert abs(a - b) <= 1 + ties, (prior, a, b, ties)
+
+
+@DRAWS
+@pytest.mark.parametrize("window", [1, 97, 1000, 1 << 14, 1 << 16, 70_001])
+def test_offset_is_the_median_crossing_at_every_window(draw, window, monkeypatch):
+    _read_from(draw, monkeypatch)
+    monkeypatch.setattr(dist, "_WINDOW", window)
+    n = 1500 if window == 1 else 70_000
+    uniforms = draw(n, 5)
+    for prior in PRIORS:
+        assert dist.mc_optimal_vertex_offset_near_oracle(prior, n, 5) == _median_offset(uniforms, prior), prior
+
+
+@DRAWS
+@pytest.mark.parametrize("n, seed", [(1500, 0), (1501, 1), (20_000, 2), (70_001, 3)])
+def test_offset_splits_the_counted_sides_evenly(draw, n, seed, monkeypatch):
+    _read_from(draw, monkeypatch)
+    uniforms = draw(n, seed)
+    seen = _counted_probes(monkeypatch)
+    for prior in PRIORS:
+        got = dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed)
+        _assert_even_split(prior, got, n, seed, uniforms, seen)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_offset_bisection_found_the_lower_middle_crossing(seed):
+    # the bisection moved up while A < B, so on an even pool it stopped at
+    # the lower of the two middle crossings, with A one short of B
+    n = 2000 + 400 * seed
+    uniforms = _uniform(n, seed)
+    for prior in PRIORS:
+        thetas = _crossings(uniforms, prior)
+        lower_middle = float(thetas[(len(thetas) - 1) // 2])
+        assert _full_pass_offset(uniforms, prior) == pytest.approx(lower_middle, rel=1e-12, abs=0), prior
+
+
+@pytest.mark.parametrize(
+    "prior, n, seed",
+    [(1e-4, 2 * 10**5, 5), (0.995, 20_000, 109)],
+    ids=["below", "above"],
+)
+def test_offsets_outside_the_old_bisection_bracket(prior, n, seed, monkeypatch):
+    # the offset bisection searched [1e-4, 100] and raised here, where the
+    # medians lie near 6.1e-5 and 194; seed 109 draws the offset pairs of
+    # the 0.995 row of `sweep --family pi5 --param 0.995 --pairs 20000`
+    uniforms = _uniform(n, seed)
+    got = dist.mc_optimal_vertex_offset_near_oracle(prior, n, seed)
+    assert got == _median_offset(uniforms, prior)
+    assert not 1e-4 <= got <= 100.0
+    _assert_even_split(prior, got, n, seed, uniforms, _counted_probes(monkeypatch))
