@@ -29,7 +29,7 @@ PAIRS = 200_000
 
 # uniform over all performances: F1 is the optimal tradeoff, SIVF is not
 spec = uniform_spec()
-print("uniform family (1e5-pair Monte Carlo)")
+print(f"uniform family ({PAIRS:,}-pair Monte Carlo)")
 for s1, s2, label in [
     (PRECISION, RECALL, "tau(Pr, Re)   (exp. 1/3)"),
     (PRECISION, F1, "tau(Pr, F1)   (exp. 2/3)"),

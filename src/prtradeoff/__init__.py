@@ -7,6 +7,8 @@ finds the beta whose ranking is the optimal tradeoff, together with the
 degree of optimality of any candidate score.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     DistributionSpec,
     McEstimate,
@@ -98,4 +100,4 @@ from .tradeoff import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -115,17 +115,17 @@ def _block_generator(seed: int, block: int) -> np.random.Generator:
     return _generator(seed, (block + 1) << 128)
 
 
-def _redraw_below_diagonal(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
-    """pi4's rejection step, in place: redraw (x, y) wherever y < x.
+def _redraw(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, rejected, fresh=lambda u, v: (u, v)) -> None:
+    """A rejection step, in place: (x, y) = fresh(u, v) of new uniforms wherever rejected(x, y).
 
-    Each round scans only the points it redrew.  Their indices stay
-    ascending, so the draws land where a full-mask assignment puts them.
+    Each round draws the u block, then the v block, for the still-rejected
+    points in ascending order, as a full-mask assignment does; a point left
+    in place is never rejected later, so a round rescans only its redraws.
     """
-    idx = np.flatnonzero(y < x)
+    idx = np.flatnonzero(rejected(x, y))
     while idx.size:
-        x[idx] = rng.uniform(0.0, 1.0, idx.size)
-        y[idx] = rng.uniform(0.0, 1.0, idx.size)
-        idx = idx[y[idx] < x[idx]]
+        x[idx], y[idx] = fresh(rng.uniform(0.0, 1.0, idx.size), rng.uniform(0.0, 1.0, idx.size))
+        idx = idx[rejected(x[idx], y[idx])]
 
 
 def _near_oracle_roc(u, v, prior_pos):
@@ -152,16 +152,11 @@ def _draw_columns(spec: DistributionSpec, rng: np.random.Generator, n: int) -> t
     fpr = rng.uniform(0.0, 1.0, n)
     tpr = rng.uniform(0.0, 1.0, n)
     if fam == "pi4":
-        _redraw_below_diagonal(rng, fpr, tpr)
+        _redraw(rng, fpr, tpr, np.greater)  # below the diagonal: fpr > tpr
     elif fam == "pi5":
         fpr, tpr = _near_oracle_roc(fpr, tpr, p)
         # strict fpr < prior < tpr: float rounding can touch the edges
-        bad = (fpr >= p) | (tpr <= p)
-        while bad.any():
-            k = int(bad.sum())
-            u, v = rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k)
-            fpr[bad], tpr[bad] = _near_oracle_roc(u, v, p)
-            bad = (fpr >= p) | (tpr <= p)
+        _redraw(rng, fpr, tpr, lambda x, y: (x >= p) | (y <= p), lambda u, v: _near_oracle_roc(u, v, p))
     return roc_columns(fpr, tpr, p)
 
 
@@ -658,7 +653,7 @@ def mc_pencil_optimality(
     contradict each other, and returns the fraction the candidate orders
     like the optimal tradeoff, the family's ``optimal_vertex_offset``.
     The ROC geometry of pi3/pi4 does not depend on the prior, so neither
-    does the result.
+    does the result.  ValueError when no sampled pair is kept.
     """
     _analytic_tau(family)  # rejects families other than pi3 and pi4
     candidate_offset = _check_pencil_offset("candidate_offset", candidate_offset)
@@ -667,8 +662,8 @@ def mc_pencil_optimality(
     rng = _generator(seed)
     points = rng.uniform(0.0, 1.0, (4, n_pairs))  # rows (x1, y1, x2, y2)
     if family == "pi4":
-        _redraw_below_diagonal(rng, points[0], points[1])
-        _redraw_below_diagonal(rng, points[2], points[3])
+        _redraw(rng, points[0], points[1], np.greater)  # below the diagonal: x > y
+        _redraw(rng, points[2], points[3], np.greater)
     # two sign arrays at a time: the mask, then the product, then free the points
     contradictory = _pencil_sign(*points, 0.0) * _pencil_sign(*points, math.inf) < 0
     agreement = _pencil_sign(*points, candidate_offset) * _pencil_sign(*points, optimum)
@@ -676,7 +671,9 @@ def mc_pencil_optimality(
     good = int((contradictory & (agreement > 0)).sum())
     bad_ = int((contradictory & (agreement < 0)).sum())
     if good + bad_ == 0:
-        raise RedrawLimitError("no contradictory pairs drawn")
+        raise ValueError(
+            f"precision and recall order none of the {n_pairs} sampled pairs oppositely; sample more pairs"
+        )
     return good / (good + bad_)
 
 

@@ -65,11 +65,11 @@ def build_path(pset: PerformanceSet) -> RankingPath:
 
     Requires a tie-free set (distinct precision values and distinct
     recall values).  The first plateau is precision itself.  At each of
-    the set's ``crossings.transitions`` every pair of the group swaps from
-    its precision order to its recall order: the item that was ahead gains
-    one rank, the other loses one.  A plateau's distance from precision
-    is the number of swaps so far; the last plateau is checked against
-    recall.  Every array of the path is returned read-only.
+    the set's ``crossings.transitions`` every row (ahead, behind) of the
+    group's ``crossings.pairs`` swaps: ``ahead``, first under precision on
+    such a set, gains one rank and ``behind`` loses one.  A plateau's
+    distance from precision is the number of swaps so far; the last
+    plateau is checked against recall.  Every array of the path is returned read-only.
     """
     r_pr, r_re = pset.endpoint_rankings
     if r_pr.has_ties or r_re.has_ties:
@@ -81,9 +81,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
 
     ranks = np.zeros((len(bounds), len(pset)), dtype=np.int32)
     ranks[0] = r_pr.as_array()
-    i, j = crossings.pairs.T
-    i_first = ranks[0, i] < ranks[0, j]
-    ahead, behind = np.where(i_first, i, j), np.where(i_first, j, i)
+    ahead, behind = crossings.pairs.T
     np.add.at(ranks, (group, ahead), 1)
     np.add.at(ranks, (group, behind), -1)
     np.cumsum(ranks, axis=0, out=ranks)

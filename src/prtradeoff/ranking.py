@@ -150,9 +150,11 @@ class Ranking:
 class CrossingSummary:
     """F-score crossing values of the pairs precision and recall order oppositely, with exclusion counters.
 
-    Row k of ``pairs`` holds the item indices (i < j) of the pair that
-    crosses at ``thetas[k]``.  Both arrays are read-only: a set shares them.
-    The path's plateaus and the optimal tradeoff are read from them.
+    Row k of ``pairs`` is the swap (ahead, behind) of the pair that
+    crosses at ``thetas[k]``: every F-score with beta^2 below it puts
+    ``ahead`` first, every one above it ``behind``.  Both arrays are
+    read-only: a set shares them.  The path's plateaus and the optimal
+    tradeoff are read from them.
     """
 
     thetas: np.ndarray = field(repr=False)  # float64, sorted, > 0
@@ -244,6 +246,7 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = -num / den  # den == 0 gives NaN for a degenerate pair (num == 0 too), else +-inf
     # the temporaries are O(n^2): release each as soon as it is used
+    j_ahead = num < 0  # F_beta(i) - F_beta(j) has the sign of num + beta^2 den: j is ahead below theta
     del num, den
     n_deg = int(np.isnan(theta).sum())
     crossing = np.flatnonzero((theta > 0) & (theta < np.inf))
@@ -251,15 +254,36 @@ def pair_crossings(pset: PerformanceSet) -> CrossingSummary:
     order = np.argsort(theta)
     theta, crossing = theta[order], crossing[order]
     del order
+    swap = j_ahead[crossing]
     pairs = np.empty((len(crossing), 2), dtype=np.int32)  # n^2 memory keeps n far below 2^31
     pairs[:, 0] = iu[crossing]
     pairs[:, 1] = ju[crossing]
+    pairs[swap] = pairs[swap, ::-1]  # (ahead, behind)
     return CrossingSummary(
         thetas=_read_only(theta),
         degenerate_pairs=n_deg,
         unanimous_pairs=len(iu) - n_deg - len(crossing),
         pairs=_read_only(pairs),
     )
+
+
+def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Per crossing pair (i, j): how close beta^2 must be to theta, over 1 + theta, for a tie.
+
+    With P = pfp + ptp, R = pfn + ptp and S = max(P, R), the F-score gap
+    of the pair at beta^2 = x is (1 + x) |den| |x - theta| / (D_i D_j),
+    where D = P + x R <= (1 + x) S.  So the pair can tie under TIE_TOL, or
+    be ordered against its theta, only where |x - theta| <= c (1 + x),
+    c = TIE_TOL S_i S_j / |den| (doubled here for the rounding of the
+    F-scores).  Theta's own rounding error is added; (j, i) gives the same bits.
+    """
+    tn, fp, fn, tp = parts.T
+    s = np.maximum(fp + tp, fn + tp)
+    a, b = tp[i] * fp[j], tp[j] * fp[i]
+    c, d = tp[i] * fn[j], tp[j] * fn[i]
+    den = np.abs(c - d)
+    theta_error = 4.0 * np.finfo(float).eps * (a + b + theta * (c + d)) / den
+    return 2.0 * TIE_TOL * (s[i] * s[j]) / den + theta_error / (1.0 + theta)
 
 
 def ranks_from_values(values: np.ndarray) -> np.ndarray:

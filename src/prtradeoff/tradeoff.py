@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import PerformanceSet, _check_betas, _read_only, beta_grid, discordance
+from .ranking import PerformanceSet, _check_betas, _read_only, _tie_slack, beta_grid, discordance
 from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
     F1,
@@ -49,25 +49,6 @@ def optimal_beta(pset: PerformanceSet) -> tuple[float | None, np.ndarray]:
     return summary.beta_star_squared, summary.thetas
 
 
-def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Per pair: how close beta^2 must be to theta, over 1 + theta, for a tie.
-
-    With P = pfp + ptp, R = pfn + ptp and S = max(P, R), the F-score gap
-    of the pair at beta^2 = x is (1 + x) |den| |x - theta| / (D_i D_j),
-    where D = P + x R <= (1 + x) S.  So the pair can tie under TIE_TOL, or
-    be ordered against its theta, only where |x - theta| <= c (1 + x),
-    c = TIE_TOL S_i S_j / |den| (doubled here for the rounding of the
-    F-scores).  The rounding error of theta itself is added.
-    """
-    tn, fp, fn, tp = parts.T
-    s = np.maximum(fp + tp, fn + tp)
-    a, b = tp[i] * fp[j], tp[j] * fp[i]
-    c, d = tp[i] * fn[j], tp[j] * fn[i]
-    den = np.abs(c - d)
-    theta_error = 4.0 * np.finfo(float).eps * (a + b + theta * (c + d)) / den
-    return 2.0 * TIE_TOL * s[i] * s[j] / den + theta_error / (1.0 + theta)
-
-
 # Most (beta, pair) combinations decided directly at once: bounds memory.
 _COMBOS = 1 << 18
 
@@ -78,10 +59,10 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     Only a crossing pair can be discordant with either endpoint, and each
     is decided by its own two F-scores under TIE_TOL, as a ranking would.
     Outside its tie window, |x - theta| <= c (1 + x) with c from
-    ``_tie_slack``, that decision at beta^2 = x is fixed: the F order is
-    sign(num) below theta and -sign(num) above it.  So two
-    ``searchsorted`` calls place every pair's window ends among the
-    sorted probes, and each side counts the fixed states with one
+    ``_tie_slack``, that decision at beta^2 = x is fixed: the pair's row
+    (ahead, behind) is the F order below theta and its reverse above it.
+    So two ``searchsorted`` calls place every pair's window ends among
+    the sorted probes, and each side counts the fixed states with one
     difference array.  Only the probes inside a pair's window decide it
     directly, ``_COMBOS`` (probe, pair) combinations at a time.
     """
@@ -95,10 +76,8 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     r_pr, r_re = (r.as_array() for r in pset.endpoint_rankings)
     i, j = pset.crossings.pairs.T
     theta = pset.crossings.thetas
-    s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where item i is ahead
+    s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where the endpoint puts item i ahead, as F does below theta
     s_re = np.sign(r_re[j] - r_re[i])
-    tn, fp, fn, tp = parts.T
-    s_num = np.sign(tp[i] * fp[j] - tp[j] * fp[i])  # pair_crossings' num: the F order below theta
     c = _tie_slack(parts, i, j, theta)
     with np.errstate(divide="ignore"):
         hi = np.where(c < 1.0, (theta + c) / (1.0 - c), np.inf)
@@ -108,7 +87,7 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     stop = np.searchsorted(x, hi, "right")  # probes from stop on are above it
 
     def fixed(s: np.ndarray) -> np.ndarray:  # per probe, the pairs fixed against the order s
-        below, above = s * s_num < 0, s * s_num > 0
+        below, above = s < 0, s > 0
         diff = np.bincount(stop[above], minlength=len(x) + 1) - np.bincount(first[below], minlength=len(x) + 1)
         return np.count_nonzero(below) + np.cumsum(diff[: len(x)])
 

@@ -122,6 +122,19 @@ def test_analyze_vacuous_set(tmp_path):
     assert all(cell["vacuous"] for cell in report["optimality"].values())
 
 
+def test_analyze_skips_an_undefined_candidate_and_marker(tmp_path):
+    # item a has no negatives, so the skew-insensitive score is undefined on it
+    csv_path = tmp_path / "counts.csv"
+    csv_path.write_text("model,tn,fp,fn,tp\na,0,0,3,7\nb,50,10,2,8\nc,40,20,1,9\nd,45,5,6,5\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["skipped_candidates"] == {"sivf": "score 'sivf' is undefined for item 0"}
+    assert list(report["optimality"]) == ["f1", "heuristic"]
+    _, _, rows = read_csv_rows(out / "pca.csv")
+    assert [row[1] for row in rows if row[0] == "marker"] == ["f1", "optimal"]
+
+
 def test_input_errors_exit_2(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["analyze", "--input", str(tmp_path / "nope.csv"), "--out", str(out)]) == 2

@@ -32,8 +32,10 @@ from prtradeoff import (
     rank_trajectories,
     UndefinedScoreError,
 )
-from prtradeoff import tradeoff
+from prtradeoff import ranking, tradeoff
 from prtradeoff.scores import fbeta_values
+
+from conftest import roc_pset
 
 
 def direct_sides(pset, beta):
@@ -60,12 +62,12 @@ def probe_betas(pset):
 def window_edges(pset):
     """Each crossing pair's tie-window ends as betas, with their float neighbours.
 
-    The window is |x - theta| <= c (1 + x), c = ``tradeoff._tie_slack``;
+    The window is |x - theta| <= c (1 + x), c = ``ranking._tie_slack``;
     a pair is decided by its own F-scores inside it and counted outside.
     """
     theta = pset.crossings.thetas
     i, j = pset.crossings.pairs.T
-    c = tradeoff._tie_slack(pset.parts, i, j, theta)
+    c = ranking._tie_slack(pset.parts, i, j, theta)
     ends = np.concatenate([(theta - c) / (1.0 + c), (theta + c)[c < 1.0] / (1.0 - c[c < 1.0])])
     b = np.sqrt(ends[ends >= 0.0])
     return np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)]).tolist()
@@ -150,12 +152,6 @@ def test_counting_on_sets_with_ties_matches_direct_reranking(rows):
     for t in [0.0, *pair_crossings(pset).thetas]:
         d1, d2 = direct_sides(pset, math.sqrt(t))
         assert equidistance_gap(pset, t) == Fraction(abs(d1 - d2), pset.total_pairs)
-
-
-def roc_pset(points, prior=0.5):
-    q = 1.0 - prior
-    parts = [(q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points]
-    return PerformanceSet.from_parts(parts)
 
 
 def test_two_disjoint_pairs_crossing_at_the_same_theta():

@@ -117,6 +117,15 @@ def test_sample_parts_is_the_one_draw_route():
     assert not hasattr(dist, "sample")
 
 
+def test_star_import_binds_the_reexported_names_and_no_submodule():
+    namespace = {}
+    exec("from prtradeoff import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == prtradeoff.__all__
+    assert not any(inspect.ismodule(value) for value in namespace.values())
+    assert "score_values" in namespace and "scores" not in namespace  # a user's scores stays theirs
+
+
 def _redraw_below_diagonal_full_scan(rng, x, y):
     """The rejection loop that rescans the whole array each round: the oracle."""
     bad = y < x
@@ -131,7 +140,7 @@ def _redraw_below_diagonal_full_scan(rng, x, y):
 def test_redraw_below_diagonal_matches_the_full_scan(seed):
     n = 1 + 997 * seed  # includes a single point
     runs = []
-    for redraw in (dist._redraw_below_diagonal, _redraw_below_diagonal_full_scan):
+    for redraw in (functools.partial(dist._redraw, rejected=np.greater), _redraw_below_diagonal_full_scan):
         rng = np.random.default_rng(seed)
         x, y = rng.uniform(size=(2, n))
         redraw(rng, x, y)
@@ -141,6 +150,36 @@ def test_redraw_below_diagonal_matches_the_full_scan(seed):
     np.testing.assert_array_equal(x, x0)
     np.testing.assert_array_equal(y, y0)
     np.testing.assert_array_equal(after, after0)
+
+
+class _ZeroedUniform:
+    """A generator whose ``call``-th uniform block has 0.0 at ``index``."""
+
+    def __init__(self, rng, call, index):
+        self.rng, self.call, self.index, self.calls = rng, call, index, 0
+
+    def uniform(self, low, high, size):
+        u = self.rng.uniform(low, high, size)
+        self.calls += 1
+        if self.calls == self.call:
+            u[self.index] = 0.0
+        return u
+
+
+def test_pi5_redraws_a_point_on_its_edge_strictly_inside(monkeypatch):
+    # the second block is the tpr uniforms: 0.0 maps to tpr == prior, an edge pi5 excludes
+    p, n, k = 0.3, 20, 7
+    monkeypatch.setattr(dist, "roc_columns", lambda fpr, tpr, prior: (fpr, tpr))
+    stub = _ZeroedUniform(np.random.default_rng(5), call=2, index=k)
+    fpr, tpr = dist._draw_columns(near_oracle_spec(p), stub, n)
+    assert stub.calls == 4  # the two blocks, then one round of u and v for the one point
+    assert fpr[k] < p < tpr[k]
+    rng = np.random.default_rng(5)
+    u, v = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    fpr0, tpr0 = dist._near_oracle_roc(u, v, p)
+    fpr0[[k]], tpr0[[k]] = dist._near_oracle_roc(rng.uniform(0.0, 1.0, 1), rng.uniform(0.0, 1.0, 1), p)
+    np.testing.assert_array_equal(fpr, fpr0)
+    np.testing.assert_array_equal(tpr, tpr0)
 
 
 def test_mc_tau_is_bit_reproducible():
@@ -637,6 +676,12 @@ def test_mc_pencil_optimality():
     assert sivf_degree == pytest.approx(math.log(4) - 0.5, abs=0.01)
     with pytest.raises(ValueError):
         mc_pencil_optimality("pi5", 1.0, 1000, 0)
+
+
+def test_mc_pencil_optimality_without_a_contradicted_pair_asks_for_more_pairs():
+    # a ValueError, which the CLI reports, not a RedrawLimitError: nothing was redrawn
+    with pytest.raises(ValueError, match="none of the 1 sampled pairs oppositely; sample more pairs"):
+        mc_pencil_optimality("pi3", 1.0, 1, 1)
 
 
 @pytest.mark.parametrize("family", ["pi3", "pi4"])

@@ -24,22 +24,11 @@ from prtradeoff import (
     rank_trajectories,
     sample_parts,
     spearman_distance,
-    uniform_spec,
     fixed_priors_spec,
 )
 from prtradeoff.ranking import beta_grid
 
-
-def roc_pset(points, prior=0.5):
-    q = 1.0 - prior
-    parts = [
-        (q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points
-    ]
-    return PerformanceSet.from_parts(parts)
-
-
-def random_pset(seed, n):
-    return PerformanceSet.from_parts(sample_parts(uniform_spec(), seed, n))
+from conftest import random_pset, roc_pset
 
 
 def engineered_three_item_pset():

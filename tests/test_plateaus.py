@@ -26,8 +26,6 @@ from prtradeoff import (
     RECALL,
     TIE_TOL,
     CrossingSummary,
-    Performance,
-    PerformanceSet,
     analyze_set,
     build_path,
     correlations_vs_beta,
@@ -36,10 +34,10 @@ from prtradeoff import (
     frechet_curve,
     ingest,
     rank_by_score,
-    sample_parts,
-    uniform_spec,
 )
 from prtradeoff.ranking import beta_grid
+
+from conftest import random_pset, roc_pset
 
 DATA = Path(__file__).parent / "data"
 
@@ -138,7 +136,7 @@ def test_the_optimum_is_the_two_middle_crossings_read_in_place(values):
 def test_the_path_groups_its_swaps_like_the_sequential_loop(seed, n, base, data):
     # a real tie-free set whose crossing values are replaced by a clustered
     # array, so that build_path groups the set's own swaps by them
-    pset = PerformanceSet.from_parts(sample_parts(uniform_spec(), seed, n))
+    pset = random_pset(seed, n)
     try:
         build_path(pset)
     except ValueError:
@@ -204,13 +202,6 @@ def assert_correlations_match_direct_rankings(pset, grid_points, grid_span):
     assert hexes(curve[k, 0]) == hexes(grid)  # every grid beta is one of the curve's
     d1, d2 = d[:, 0] / total, d[:, 1] / total
     assert hexes(curve[k, 1]) == hexes(d1 * d1 + d2 * d2)
-
-
-def roc_pset(points, prior=0.5):
-    q = 1.0 - prior
-    return PerformanceSet(
-        tuple(Performance(q * (1 - x), q * x, prior * (1 - y), prior * y) for x, y in points)
-    )
 
 
 # ROC points on a coarse grid: many pairs share a pencil line, so their

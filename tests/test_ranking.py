@@ -1,9 +1,12 @@
 import copy
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from prtradeoff import (
@@ -23,7 +26,11 @@ from prtradeoff import (
     uniform_spec,
     sample_parts,
 )
+from prtradeoff import build_path, fixed_priors_spec, ingest
+from prtradeoff.ranking import _tie_slack
 from prtradeoff.scores import normalize_parts
+
+from conftest import random_pset
 
 
 def pset_with_precision(values):
@@ -32,11 +39,6 @@ def pset_with_precision(values):
         Performance(0.25, (1.0 - v) / 2.0, 0.25, v / 2.0) for v in values
     )
     return PerformanceSet(items)
-
-
-def random_pset(rng, n):
-    parts = sample_parts(uniform_spec(), int(rng.integers(2**32)), n)
-    return PerformanceSet.from_parts(parts)
 
 
 def bubble_swap_count(r1, r2):
@@ -75,7 +77,7 @@ def test_rank_invariant_under_monotone_transforms():
         assert (ranks_from_values(np.exp(v)) == base).all()
     # a real monotone score pair: F1 is an increasing transform of IoU
     for _ in range(20):
-        pset = random_pset(rng, 10)
+        pset = random_pset(int(rng.integers(2**32)), 10)
         assert rank_by_score(pset, F1).ranks == rank_by_score(pset, IOU).ranks
 
 
@@ -243,3 +245,42 @@ def test_copies_keep_the_rows_bit_for_bit_and_every_array_read_only(copier):
     ranking = copier(r_pr)
     assert ranking == r_pr
     assert ranking.as_array().dtype == np.int32 and not ranking.as_array().flags.writeable
+
+
+def assert_rows_are_swaps(pset):
+    """Each crossing row (a, b) has the F order a, b below its theta: tp_a fp_b - tp_b fp_a > 0."""
+    tn, fp, fn, tp = pset.parts.T
+    a, b = pset.crossings.pairs.T
+    assert (tp[a] * fp[b] - tp[b] * fp[a] > 0).all()
+    # the tie window is the pair's, whichever item comes first
+    theta = pset.crossings.thetas
+    assert _tie_slack(pset.parts, a, b, theta).tobytes() == _tie_slack(pset.parts, b, a, theta).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_crossing_rows_are_swaps_that_precision_orders_on_roc_sets(seed):
+    pset = random_pset(seed, 40, fixed_priors_spec(0.3))  # uniform ROC points
+    assert pset.crossings.n_crossings
+    assert_rows_are_swaps(pset)
+    build_path(pset)  # tie-free: the numerator's sign is the precision order
+    r_pr = pset.endpoint_rankings[0].as_array()
+    ahead, behind = pset.crossings.pairs.T
+    assert (r_pr[ahead] < r_pr[behind]).all()
+
+
+def test_crossing_rows_are_swaps_on_a_coalesced_set():
+    assert_rows_are_swaps(ingest(Path(__file__).parent / "data" / "coalesced14.csv"))
+
+
+cells = st.integers(1, 40)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(cells, cells, cells, cells), min_size=2, max_size=16))
+def test_crossing_rows_are_swaps_on_integer_twins_and_near_ties(counts):
+    mirrored = [(tn, fn, fp, tp) for tn, fp, fn, tp in counts]
+    # a million times the counts, nudged by a count or two: equal rows nearly tie
+    m = 10**6
+    near = [(tn * m, fp * m + k % 3, fn * m, tp * m + k % 2) for k, (tn, fp, fn, tp) in enumerate(counts)]
+    for rows in (counts, mirrored, near):
+        assert_rows_are_swaps(PerformanceSet.from_parts(rows))

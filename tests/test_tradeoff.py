@@ -31,12 +31,9 @@ from prtradeoff import (
     rank_by_score,
     sample_parts,
     score_values,
-    uniform_spec,
 )
 
-
-def random_pset(seed, n, spec=None):
-    return PerformanceSet.from_parts(sample_parts(spec or uniform_spec(), seed, n))
+from conftest import random_pset
 
 
 def exact_crossing(p1, p2):
@@ -373,6 +370,12 @@ def test_heuristic_beta():
     )
     with pytest.raises(ZeroDenominatorError):
         heuristic_beta(no_fn)
+
+
+def test_analyze_set_without_false_negatives_has_no_heuristic():
+    report = analyze_set(PerformanceSet.from_parts([[5, 1, 0, 4], [3, 4, 0, 3], [6, 2, 0, 2]]))
+    assert report.heuristic is None
+    assert list(report.optimality) == ["f1", "sivf"] and report.skipped_candidates == {}
 
 
 def test_distance_from_precision_is_monotone_in_beta():
