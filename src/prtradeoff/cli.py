@@ -59,10 +59,12 @@ def _quote(label: str) -> str:
 
 def _fields(column) -> list[str]:
     """A column's cells as csv.writer writes them: str() of each, None empty, labels quoted."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        # one C-level repr of the list; each number's repr is its str()
+        return repr(column.tolist())[1:-1].split(", ") if len(column) else []
+    values = list(column)
     kinds = set(map(type, values))
     if kinds <= {float, int, bool}:
-        # one C-level repr of the list; each number's repr is its str()
         return repr(values)[1:-1].split(", ") if values else []
     if kinds == {str}:
         joined = "".join(values)  # one scan of the column, not one per label
@@ -74,15 +76,32 @@ def _write_table(path: Path, comments, header, columns) -> None:
     """One CSV: ``# `` comment lines, the header, then the rows of the columns.
 
     The bytes are csv.writer's for two or more columns; csv.writer would
-    also quote a lone empty field.
+    also quote a lone empty field.  Each chunk's fields are interleaved
+    with their separators and joined once.
     """
     n_rows = len(columns[0]) if len(columns) else 0
+    width = 2 * len(columns)
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
     with open(path, "w", newline="") as fh:
         fh.write("".join(f"# {line}\n" for line in comments))
         fh.write(",".join(_fields(header)) + "\r\n")
         for a in range(0, n_rows, _CHUNK):
-            fields = [_fields(c[a : a + _CHUNK]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            m = min(_CHUNK, n_rows - a)
+            pieces = [""] * (width * m)
+            for j, (column, end) in enumerate(zip(columns, ends)):
+                pieces[2 * j :: width] = _fields(column[a : a + _CHUNK])
+                pieces[2 * j + 1 :: width] = [end] * m
+            fh.write("".join(pieces))
+
+
+def _beta_texts(betas: np.ndarray, texts: list[str], values) -> list[str]:
+    """The text of each value: ``texts[k]`` where ``betas[k]``, sorted, has its bits; any other value is formatted."""
+    values = np.asarray(values, dtype=float)
+    at = np.searchsorted(betas, values).clip(max=len(betas) - 1)
+    out = [texts[k] for k in at.tolist()]
+    for m in np.flatnonzero(betas[at].view(np.int64) != values.view(np.int64)).tolist():
+        out[m] = repr(float(values[m]))
+    return out
 
 
 def _out_dir(path) -> Path:
@@ -142,15 +161,39 @@ def _pca_table(path) -> tuple[list[str], tuple]:
     return extra, (kinds, names, coords)
 
 
-def _write_manifold_files(out: Path, path, pca, comments) -> None:
-    # The plateau bounds are formatted once, the last one inf.  plateaus.csv
+def _plateau_ends(path) -> np.ndarray:
+    """0, the transition betas and inf: plateau k holds between ends k and k + 1."""
+    return np.concatenate(([0.0], path.transition_betas, [math.inf]))
+
+
+def _run_starts(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every item's runs of constant rank, from the set's swaps: (plateaus, ranks, cut).
+
+    Item i's runs start on ``plateaus[cut[i]:cut[i + 1]]``, ascending,
+    with the ranks ``ranks[cut[i]:cut[i + 1]]``.  Plateau 0 starts one of
+    each item; plateau k >= 1 starts one of each item whose swaps in group
+    k do not cancel, the group being rows ``swaps[k-1]:swaps[k]`` of
+    ``pset.crossings.pairs`` with +1 for ``ahead`` and -1 for ``behind``.
+    """
+    n, p = len(path.pset), path.n_plateaus
+    group = np.repeat(np.arange(1, p), np.diff(path.swaps))
+    keys = (path.pset.crossings.pairs.T.astype(np.int64) * p + group).ravel()  # item * p + plateau: aheads, behinds
+    order = np.argsort(keys)
+    head = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    net = np.add.reduceat(np.where(order < len(group), 1, -1), head)
+    items, plateaus = np.divmod(np.sort(np.concatenate([keys[order[head[net != 0]]], np.arange(n) * p])), p)
+    ranks = rank_trajectories(path)[items, plateaus]
+    return plateaus, ranks, np.searchsorted(items, np.arange(n + 1))
+
+
+def _write_manifold_files(out: Path, path, pca, comments, bounds) -> None:
+    # bounds is the text of each _plateau_ends(path) entry.  plateaus.csv
     # reduces each distance with gcd; swap counts and the pair total are
     # exact in float64 and division is correctly rounded, so s / total is
     # float(Fraction(s, total)).
     # rank_trajectories.csv has n_items x n_plateaus rows.  It is written one
     # item at a time, and each of the item's runs of constant rank is one
     # join over the plateaus' cells "k,beta_low,beta_high,".
-    bounds = _fields(np.concatenate(([0.0], path.transition_betas, [math.inf])))
     swaps, total = path.swaps, path.pset.total_pairs
     g = np.gcd(swaps, total)
     exact = [f"{s}/{t}" for s, t in zip((swaps // g).tolist(), (total // g).tolist())]
@@ -159,14 +202,15 @@ def _write_manifold_files(out: Path, path, pca, comments) -> None:
     _write_table(out / "plateaus.csv", comments, header, columns)
 
     cells = [f"{k},{lo},{hi}," for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    plateaus, ranks, cut = _run_starts(path)
     trajectories = out / "rank_trajectories.csv"
     _write_table(trajectories, comments, ("item", "plateau", "beta_low", "beta_high", "rank"), ())
     with open(trajectories, "a", newline="") as fh:
-        for label, ranks in zip(_item_labels(path.pset), rank_trajectories(path)):
+        for label, lo, hi in zip(_item_labels(path.pset), cut[:-1].tolist(), cut[1:].tolist()):
             prefix = _csv_prefix(label)
-            starts = [0, *(np.flatnonzero(np.diff(ranks)) + 1).tolist()]
+            starts = plateaus[lo:hi].tolist()
             parts = []
-            for a, b, rank in zip(starts, [*starts[1:], len(cells)], ranks[starts].tolist()):
+            for a, b, rank in zip(starts, [*starts[1:], len(cells)], ranks[lo:hi].tolist()):
                 tail = f"{rank}\r\n"
                 parts += (prefix, (tail + prefix).join(cells[a:b]), tail)
             fh.write("".join(parts))
@@ -222,11 +266,25 @@ def cmd_analyze(args) -> int:
         },
         "skipped_candidates": report.skipped_candidates,
     }
+    # The curve's betas hold every beta analyze writes but inf, so each is
+    # formatted once; the other beta columns and the plateau bounds take
+    # their texts by bits.  sqrt is correctly rounded in NumPy as in math.
+    betas, variances = report.frechet_curve.T
+    texts = []
+    for a in range(0, len(betas), _CHUNK):  # as _write_table does: a whole column of floats raised the peak RSS
+        texts += _fields(betas[a : a + _CHUNK])
+    bounds = _beta_texts(betas, texts, _plateau_ends(path))
     thetas = crossings.thetas
-    tables = {  # stem: (header, columns); sqrt is correctly rounded in NumPy as in math
-        "transitions": (("index", "theta", "beta"), (range(len(thetas)), thetas, np.sqrt(thetas))),
-        "correlations_vs_beta": (("beta", "tau_precision_fbeta", "tau_fbeta_recall"), report.correlations.T),
-        "frechet_variance": (("beta", "variance"), report.frechet_curve.T),
+    tables = {  # stem: (header, columns)
+        "transitions": (
+            ("index", "theta", "beta"),
+            (range(len(thetas)), thetas, _beta_texts(betas, texts, np.sqrt(thetas))),
+        ),
+        "correlations_vs_beta": (
+            ("beta", "tau_precision_fbeta", "tau_fbeta_recall"),
+            (_beta_texts(betas, texts, report.correlations[:, 0]), *report.correlations.T[1:]),
+        ),
+        "frechet_variance": (("beta", "variance"), (texts, variances)),
         "optimality": (
             ("candidate", "p_agree", "p_optimal", "p_not_optimal", "degree", "vacuous"),
             [*zip(*(
@@ -241,7 +299,8 @@ def cmd_analyze(args) -> int:
     _write_json(out / "report.json", payload)
     for stem, (header, columns) in tables.items():
         _write_table(out / f"{stem}.csv", comments, header, columns)
-    _write_manifold_files(out, path, pca, comments)
+    del texts, tables  # the midpoints' texts go before the trajectories are written
+    _write_manifold_files(out, path, pca, comments, bounds)
     return EXIT_OK
 
 
@@ -255,7 +314,8 @@ def cmd_manifold(args) -> int:
     chash = _config_hash(config)
     path = build_path(ingest(args.input, args.prior))
     pca = _pca_table(path)
-    _write_manifold_files(_out_dir(args.out), path, pca, _comments(chash, args.seed))
+    bounds = _fields(_plateau_ends(path))
+    _write_manifold_files(_out_dir(args.out), path, pca, _comments(chash, args.seed), bounds)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -286,9 +287,12 @@ def test_analyze_writes_its_tables_in_bounded_memory(tmp_path, monkeypatch):
     # and writes: about 1.5 MB of tables besides rank_trajectories.csv's
     # 10^6 rows (55 MB).  Building each table's rows as Python lists for
     # csv.writer takes about 1100 bytes a plateau over what is held at that
-    # point.  Chunked columns, plus the plateau bounds and cells that every
-    # item's trajectory rows reuse, take about 460; holding
-    # rank_trajectories.csv whole would take over 10,000.
+    # point.  Chunked columns, the curve's beta texts (the midpoints' are
+    # dropped before the trajectories are written), the plateau bounds and
+    # cells that every item's trajectory rows reuse, and the run starts,
+    # sliced per item from arrays, take about 480; keeping the midpoints'
+    # texts took 580, and holding rank_trajectories.csv whole would take
+    # over 10,000.
     csv_path = _roc200(tmp_path)
     plateaus = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.5)).n_plateaus
     held = []
@@ -354,10 +358,11 @@ def _ranks_return(path):
     return False
 
 
-def _assert_manifold_matches_reference(tmp_path, csv_path):
+def _assert_manifold_matches_reference(tmp_path, csv_path, prior=0.4):
     out = tmp_path / "out"
-    assert cli.main(["manifold", "--input", str(csv_path), "--prior", "0.4", "--out", str(out)]) == 0
-    path = prtradeoff.build_path(prtradeoff.ingest(csv_path, 0.4))
+    flags = [] if prior is None else ["--prior", str(prior)]
+    assert cli.main(["manifold", "--input", str(csv_path), *flags, "--out", str(out)]) == 0
+    path = prtradeoff.build_path(prtradeoff.ingest(csv_path, prior))
     comment_line = (out / "plateaus.csv").read_text().split("\n", 1)[0] + "\n"
     assert comment_line.startswith("# config=")
     for name, text in _reference_manifold_csvs(path, comment_line).items():
@@ -433,6 +438,18 @@ def _reference_analyze_csvs(csv_path, prior, betas, comment_line):
     return texts
 
 
+def _assert_analyze_matches_reference(tmp_path, csv_path, prior=0.4):
+    out = tmp_path / "out"
+    flags = [] if prior is None else ["--prior", str(prior)]
+    assert cli.main(["analyze", "--input", str(csv_path), *flags, "--beta", "0.5", "--out", str(out)]) == 0
+    comment_line = (out / "pca.csv").read_text().split("\n", 1)[0] + "\n"
+    assert comment_line.startswith("# config=")
+    want = _reference_analyze_csvs(csv_path, prior, (0.5,), comment_line)
+    assert sorted(want) == sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
 @pytest.mark.parametrize("n", [2, 12, 45])
 def test_analyze_tables_match_a_row_by_row_writer(tmp_path, n):
     rng = np.random.default_rng(n)
@@ -440,15 +457,35 @@ def test_analyze_tables_match_a_row_by_row_writer(tmp_path, n):
     labels = [QUOTED_LABELS[i] if i < len(QUOTED_LABELS) else f"m{i}" for i in rng.permutation(n)]
     csv_path = tmp_path / "set.csv"
     _roc_csv(csv_path, fpr, tpr, labels)
-    out = tmp_path / "out"
-    argv = ["analyze", "--input", str(csv_path), "--prior", "0.4", "--beta", "0.5", "--out", str(out)]
-    assert cli.main(argv) == 0
-    comment_line = (out / "pca.csv").read_text().split("\n", 1)[0] + "\n"
-    assert comment_line.startswith("# config=")
-    want = _reference_analyze_csvs(csv_path, 0.4, (0.5,), comment_line)
-    assert sorted(want) == sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
-    for name, text in want.items():
-        assert (out / name).read_bytes() == text.encode(), name
+    _assert_analyze_matches_reference(tmp_path, csv_path)
+
+
+@pytest.mark.parametrize("command", ["analyze", "manifold"])
+def test_coalesced_crossings_match_a_row_by_row_writer(tmp_path, command):
+    # coalesced groups: some transitions.csv betas repeat, and a plateau
+    # changes the ranks of more than two items
+    csv_path = FIXTURE.parent / "coalesced14.csv"
+    pset = prtradeoff.ingest(csv_path)
+    assert pset.crossings.coalesced
+    assert len(set(np.sqrt(pset.crossings.thetas).tolist())) < pset.crossings.n_crossings
+    if command == "analyze":
+        _assert_analyze_matches_reference(tmp_path, csv_path, None)
+    else:
+        _assert_manifold_matches_reference(tmp_path, csv_path, None)
+
+
+@pytest.mark.parametrize("command", ["analyze", "manifold"])
+def test_a_block_reversal_matches_a_row_by_row_writer(tmp_path, command):
+    # three items on one pencil line reverse at once: the middle one swaps
+    # ahead and behind in the same group, so its run must not split
+    csv_path = tmp_path / "block.csv"
+    _roc_csv(csv_path, np.array([0.1, 0.3, 0.6, 0.02]), np.array([0.55, 0.65, 0.8, 0.95]))
+    if command == "analyze":
+        _assert_analyze_matches_reference(tmp_path, csv_path, 0.5)
+    else:
+        path = _assert_manifold_matches_reference(tmp_path, csv_path, 0.5)
+        assert path.n_plateaus == 2 and path.pset.crossings.coalesced
+        assert path.ranks[:, 1].tolist() == [3, 3]
 
 
 EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.1]
@@ -534,6 +571,38 @@ def test_analyze_derives_each_per_set_quantity_once(tmp_path, monkeypatch):
     assert labels.count(PRECISION.label()) == 1
     assert labels.count(RECALL.label()) == 1
     assert len(markers) == 1
+
+
+def test_analyze_formats_each_beta_once(tmp_path, monkeypatch):
+    # Every float cell goes through repr.  A beta of the Frechet curve is
+    # written in up to four tables, and its text is made once: it is handed
+    # to repr once more than its value appears in the columns of other
+    # quantities (theta, tau, variance, distance, PCA).  coalesced14 repeats
+    # betas in transitions.csv, and some of its thetas equal betas.
+    formatted = []
+
+    def counting_repr(obj):
+        formatted.extend(obj if isinstance(obj, list) else [obj])
+        return repr(obj)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    csv_path = FIXTURE.parent / "coalesced14.csv"
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(csv_path), "--out", str(out)]) == 0
+    others = Counter()
+    for table in out.glob("*.csv"):
+        rows = csv.reader(line for line in table.read_text().splitlines() if not line.startswith("#"))
+        header = next(rows)
+        for row in rows:
+            for name, text in zip(header, row):
+                if not name.startswith("beta") and not text.lstrip("-").isdigit():
+                    try:
+                        others[float(text)] += 1
+                    except ValueError:  # a label
+                        pass
+    counts = Counter(v for v in formatted if type(v) is float)
+    betas = prtradeoff.analyze_set(prtradeoff.ingest(csv_path)).frechet_curve[:, 0].tolist()
+    assert {b: counts[b] - others[b] for b in betas} == dict.fromkeys(betas, 1)
 
 
 def test_pca_of_identical_rankings_collapses_to_one_point(tmp_path):
