@@ -18,10 +18,11 @@ block draws its performances as four contiguous outcome columns and
 scores them with ``scores.score_columns``.
 
 Independent pieces of work (the blocks of one estimate, the replicates
-of a study) go through ``_map_concurrently``: the calling thread and one
-process-wide pool, with one thread fewer than the CPUs the process may
-use, take them from a shared queue.  The pool starts with the first map,
-not at import; a map called from inside a piece runs inline.  Each piece
+of a study) go through ``_map_concurrently``: the calling thread and
+helper threads, one fewer than the CPUs the process may use, take them
+from a shared queue.  Each map starts its own helpers and joins them
+before it returns, so no thread outlives a map and none starts at
+import; a map called from inside a piece runs inline.  Each piece
 returns its own result, combined in item order, so every number is the
 same bit for bit whatever the number of threads, and nothing sets it.
 """
@@ -33,7 +34,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,75 +191,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The process's pool, as (threads, pool): started by the first map that
-# needs one, never at import.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
 _in_task = threading.local()  # .active while this thread runs a map's items
 
 
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    """The process's pool of ``threads`` threads.
-
-    A pool of another size, left from when the process could use another
-    number of CPUs, is dropped; its threads exit once no map holds it.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="prtradeoff"))
-        return _pool[1]
-
-
 def _map_concurrently(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed by the calling thread and the process's pool.
+    """``[fn(item) for item in items]``, computed by the calling thread and helpers of its own.
 
-    The caller and up to ``_usable_cpus() - 1`` pool threads take items
-    from one shared queue, so a slow item holds up no other thread; the
-    results come back in item order.  A map called from inside an item,
-    on any thread, runs inline on that thread, so maps never nest.  Pool
-    threads that have not started when the queue runs empty are cancelled,
-    not waited for: a child forked from a process with a pool has none of
-    its threads, and its caller takes every item.  An item that raises
-    stops the queue; the exception is raised once every started thread
-    has finished its item.
+    The caller and up to ``_usable_cpus() - 1`` helper threads, started
+    for this map and joined before it returns or raises, take items from
+    one shared queue, so a slow item holds up no other thread; the results
+    come back in item order.  A map called from inside an item, on any
+    thread, runs inline on that thread, so maps never nest.  An item that
+    raises stops the queue; the exception is raised once every thread has
+    finished its item.
     """
     items = list(items)
-    cpus = _usable_cpus()
-    helpers = min(len(items), cpus) - 1
+    helpers = min(len(items), _usable_cpus()) - 1
     if helpers < 1 or getattr(_in_task, "active", False):
         return [fn(item) for item in items]
     results = [None] * len(items)
     queue = iter(range(len(items)))
     queue_lock = threading.Lock()
-    failed = threading.Event()
+    failures: list[BaseException] = []  # the first one stops the queue
 
     def drain() -> None:
         _in_task.active = True
         try:
-            while not failed.is_set():
+            while not failures:
                 with queue_lock:
                     i = next(queue, None)
                 if i is None:
                     return
                 results[i] = fn(items[i])
-        except BaseException:
-            failed.set()
-            raise
+        except BaseException as exc:
+            failures.append(exc)
         finally:
             _in_task.active = False
 
-    pool = _shared_pool(cpus - 1)
-    others = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        # a turn that has not started would find the queue empty; waiting for
-        # it would hang a forked child, which has no thread to start it
-        started = [future for future in others if not future.cancel()]
-        wait(started)
-    for future in started:
-        future.result()  # raises a pool thread's exception
+    threads = [threading.Thread(target=drain, name="prtradeoff") for _ in range(helpers)]
+    for thread in threads:
+        thread.start()
+    drain()  # a caller that only waited would cost one more thread and malloc arena
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     return results
 
 

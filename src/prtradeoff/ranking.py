@@ -221,7 +221,10 @@ def beta_grid(grid_points: int, grid_span: tuple[float, float], extra) -> np.nda
     lo, hi = grid_span
     if not 0.0 < lo <= hi < math.inf:
         raise ValueError(f"grid span must satisfy 0 < min <= max < inf, got {grid_span!r}")
-    return np.unique(np.concatenate([np.geomspace(*grid_span, grid_points), [0.0], extra]))
+    # sorted, then each value that differs from its left neighbour: np.unique's
+    # result, without the numpy.ma import its first call makes
+    grid = np.sort(np.concatenate([np.geomspace(*grid_span, grid_points), [0.0], extra]))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def _check_betas(betas) -> np.ndarray:

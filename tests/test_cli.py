@@ -184,10 +184,26 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 def test_importing_the_cli_starts_no_thread():
-    # the Monte Carlo pool starts with the first concurrent map, not at import
-    proc = _run_python("-c", "import threading, prtradeoff.cli; print(threading.active_count())")
+    # each concurrent Monte Carlo map starts its own helper threads; none start at import
+    proc = _run_python(
+        "-c",
+        "import sys, threading, prtradeoff.cli; "
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
+    assert proc.stdout.strip() == "1 False"
+
+
+def test_analyze_loads_no_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma on its first call; analyze's grids do without it
+    proc = _run_python(
+        "-c",
+        "import sys; from prtradeoff import cli; "
+        f"code = cli.main(['analyze', '--input', {str(FIXTURE)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 @pytest.mark.parametrize(

@@ -468,16 +468,35 @@ def test_a_map_inside_an_item_starts_no_thread(monkeypatch):
     runs = dist._map_concurrently(outer, range(6))
     for ident, before, nested in runs:
         for inner_ident, count in nested:
-            # inline on the item's own thread; a dropped pool's threads may still be leaving
+            # inline on the item's own thread; the outer map's helpers may already be leaving
             assert inner_ident == ident
             assert count <= before
 
 
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_a_forked_child_estimates_without_the_pool_threads(monkeypatch):
-    monkeypatch.setattr(dist, "_usable_cpus", lambda: 2)  # a pool on any host
+def test_a_map_joins_its_helpers_before_it_returns_or_raises(monkeypatch):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)  # helpers on any host
+    before = threading.active_count()
+    assert dist._map_concurrently(str, range(200)) == [str(x) for x in range(200)]
+    assert threading.active_count() == before
+
+    raised = threading.Event()
+
+    def fail_off_the_calling_thread(x):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=30)  # leave an item to a helper
+            return x
+        raised.set()
+        raise KeyError(x)
+
+    with pytest.raises(KeyError):
+        dist._map_concurrently(fail_off_the_calling_thread, range(200))
+    assert raised.is_set()
+    assert threading.active_count() == before
+
+
+def test_a_forked_child_estimates_after_a_concurrent_map(monkeypatch):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 2)  # helpers on any host
     want = mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 200_000, 3)
-    assert dist._pool is not None
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
 
@@ -488,7 +507,7 @@ def test_a_forked_child_estimates_without_the_pool_threads(monkeypatch):
     proc.start()
     proc.join(timeout=60)
     try:
-        assert not proc.is_alive(), "the forked child waited on pool threads it does not have"
+        assert not proc.is_alive(), "the forked child waited on threads it does not have"
     finally:
         if proc.is_alive():
             proc.kill()
