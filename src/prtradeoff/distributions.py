@@ -17,14 +17,17 @@ for a given seed no matter how the pair range is partitioned.  Each
 block draws its performances as four contiguous outcome columns and
 scores them with ``scores.score_columns``.
 
-Independent pieces of work (the blocks of one estimate, the replicates
-of a study) go through ``_map_concurrently``: the calling thread and
-helper threads, one fewer than the CPUs the process may use, take them
-from a shared queue.  Each map starts its own helpers and joins them
-before it returns, so no thread outlives a map and none starts at
-import; a map called from inside a piece runs inline.  Each piece
-returns its own result, combined in item order, so every number is the
-same bit for bit whatever the number of threads, and nothing sets it.
+Independent pieces of work go through ``_map_concurrently``: the calling
+thread and helper threads, one fewer than the CPUs the process may use,
+take them from a shared queue in the order given.  A direct
+``mc_kendall_tau`` call maps its own blocks; each study in ``studies``
+puts all its pieces (every block of every tau, every replicate, every
+near-oracle search and pass) in one map, the longest first.  Each map
+starts its own helpers and joins them before it returns, so no thread
+outlives a map and none starts at import; a map called from inside a
+piece runs inline.  Each piece returns its own result, combined in item
+order, so every number is the same bit for bit whatever the number of
+threads, and nothing sets it.
 """
 
 from __future__ import annotations
@@ -239,6 +242,10 @@ def _map_concurrently(fn, items) -> list:
     return results
 
 
+def _call(piece):
+    return piece()
+
+
 def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> tuple[int, int]:
     """(discordant, redrawn) pairs of one block of ``mc_kendall_tau``, from its own substream."""
     want = min(_BLOCK, n_pairs - block * _BLOCK)
@@ -273,6 +280,26 @@ def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> 
     return int(((v1a < v1b) & (v2a > v2b)).sum()), redrawn
 
 
+def _tau_blocks(spec, score1, score2, n_pairs: int, seed: int) -> list:
+    """The pieces of one ``mc_kendall_tau`` estimate: one call per block, returning its counts."""
+    _check_n_pairs(n_pairs)
+    return [
+        functools.partial(_block_counts, spec, score1, score2, n_pairs, seed, block)
+        for block in range(-(-n_pairs // _BLOCK))
+    ]
+
+
+def _tau_estimate(per_block, n_pairs: int, seed: int) -> McEstimate:
+    """The estimate from its blocks' (discordant, redrawn) counts, after the redraw guard."""
+    discordant = sum(d for d, _ in per_block)
+    redrawn = sum(r for _, r in per_block)
+    if redrawn > _REDRAW_FRACTION * n_pairs:
+        raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
+    p_hat = discordant / n_pairs
+    half_width = 1.96 * 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n_pairs)
+    return McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed, redrawn)
+
+
 def mc_kendall_tau(
     spec: DistributionSpec,
     score1: ScoreFunction,
@@ -289,18 +316,8 @@ def mc_kendall_tau(
     counted concurrently (``_map_concurrently``); their integer counts are
     summed, so the estimate does not depend on the number of threads.
     """
-    _check_n_pairs(n_pairs)
-    n_blocks = -(-n_pairs // _BLOCK)
-    per_block = _map_concurrently(
-        functools.partial(_block_counts, spec, score1, score2, n_pairs, seed), range(n_blocks)
-    )
-    discordant = sum(d for d, _ in per_block)
-    redrawn = sum(r for _, r in per_block)
-    if redrawn > _REDRAW_FRACTION * n_pairs:
-        raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
-    p_hat = discordant / n_pairs
-    half_width = 1.96 * 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n_pairs)
-    return McEstimate(1.0 - 4.0 * p_hat, half_width, n_pairs, seed, redrawn)
+    blocks = _tau_blocks(spec, score1, score2, n_pairs, seed)
+    return _tau_estimate(_map_concurrently(_call, blocks), n_pairs, seed)
 
 
 # ---------------------------------------------------------------------------

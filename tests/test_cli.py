@@ -184,7 +184,8 @@ def test_importing_the_cli_loads_no_scipy(tmp_path):
 
 
 def test_importing_the_cli_starts_no_thread():
-    # each concurrent Monte Carlo map starts its own helper threads; none start at import
+    # each study, and each direct mc_kendall_tau call, runs one concurrent
+    # map that starts its own helper threads; none start at import
     proc = _run_python(
         "-c",
         "import sys, threading, prtradeoff.cli; "
@@ -248,6 +249,16 @@ def test_sweep_pi5_on_too_few_pairs_exits_2_and_writes_nothing(tmp_path, capsys)
     argv = ["sweep", "--family", "pi5", "--param", "0.3", "--pairs", "3", "--out", str(out)]
     assert cli.main(argv) == 2
     assert "sample more pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_pi5_on_one_pair_reports_the_first_rows_offset(tmp_path, capsys):
+    # the prior search fails too, and it is first in the queue; the error
+    # raised is the first row's offset's, the first failure in table order
+    out = tmp_path / "out"
+    argv = ["sweep", "--family", "pi5", "--param", "0.3", "--pairs", "1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "order none of the 1 sampled pairs" in capsys.readouterr().err
     assert not out.exists()
 
 

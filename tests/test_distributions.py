@@ -525,6 +525,88 @@ def test_table1_cells_do_not_depend_on_the_cpu_count(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def _near_oracle_rows(p, n_pairs, seed):
+    """A pi5 prior's rows, one public call after another: the oracle for the study's one map."""
+    est = mc_kendall_tau(near_oracle_spec(p), PRECISION, RECALL, n_pairs, seed)
+    off = mc_optimal_vertex_offset_near_oracle(p, n_pairs, seed + 100)
+    b2, b = beta_for_offset(off, p)
+    t1, t2 = mc_tau_sides_near_oracle(p, p / (1.0 - p), n_pairs, seed + 200)
+    return (
+        (p, analytic_tau_pr_re_near_oracle(p), est.value, est.half_width),
+        (p, off, math.sqrt(b2), b),
+        (p, t1, t2),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_tables_do_not_depend_on_the_cpu_count(monkeypatch, family):
+    n_pairs, seed = 2 * (1 << 16) + 17, 11  # a partial last block
+    runs = []
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(dist, "_usable_cpus", lambda c=cpus: c)
+        runs.append(studies.sweep_tables(FAMILY_SPECS[family], n_pairs, seed))
+    assert runs[0] == runs[1] == runs[2]
+    if family == "pi5":
+        tables, summary = runs[0]
+        rows = [_near_oracle_rows(p, n_pairs, seed + i) for i, p in enumerate(studies.PRIOR_GRID)]
+        for name, want in zip(("pr_re", "adaptation", "f1_equidistance"), zip(*rows)):
+            assert list(tables[name][1]) == list(want), name
+        assert summary["sivf_equidistance_prior"] == sivf_equidistance_prior_near_oracle(n_pairs, seed + 300)
+
+
+def _count_thread_starts(monkeypatch) -> list:
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+STUDIES = {
+    "table1": lambda n: studies.table1_cells(n, 0),
+    **{f"sweep-{f}": lambda n, spec=spec: studies.sweep_tables(spec, n, 0) for f, spec in FAMILY_SPECS.items()},
+}
+
+
+@pytest.mark.parametrize("study", STUDIES.values(), ids=STUDIES.keys())
+def test_each_study_is_one_concurrent_map(monkeypatch, study):
+    # one map per study, each starting and joining its own helpers; two
+    # blocks per tau, so a map per estimate would start helpers of its own
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 3)
+    started = _count_thread_starts(monkeypatch)
+    study(1 << 17)
+    assert started == ["prtradeoff"] * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_study_raises_the_first_error_in_cell_order_not_in_time(monkeypatch, cpus):
+    # the pi5 prior search, table1's last cell, is the first piece in the
+    # queue; it fails before any pencil replicate, an earlier cell, does
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: cpus)
+    failed = []
+    search_failed = threading.Event()
+
+    def failing_search(n_pairs, seed):
+        failed.append("search")
+        search_failed.set()
+        raise ValueError("the search failed")
+
+    def failing_replicate(family, candidate_offset, n_pairs, seed):
+        assert search_failed.wait(timeout=30)
+        failed.append("replicate")
+        raise RedrawLimitError("a replicate failed")
+
+    monkeypatch.setattr(dist, "sivf_equidistance_prior_near_oracle", failing_search)
+    monkeypatch.setattr(dist, "mc_pencil_optimality", failing_replicate)
+    with pytest.raises(RedrawLimitError, match="a replicate failed"):
+        studies.table1_cells(20000, 0)
+    assert failed[0] == "search" and "replicate" in failed
+
+
 @pytest.mark.parametrize(
     "spec, n_pairs, seed",
     # table1's first pi1 cell at --pairs 1 and its second pi2 cell at --pairs 5, seed 0
@@ -725,13 +807,17 @@ def test_mc_pencil_optimality_holds_two_sign_arrays_at_a_time(family):
         lambda n: sivf_equidistance_prior_near_oracle(n, 0),
         lambda n: mc_tau_sides_near_oracle(0.3, 1.0, n, 0),
         lambda n: mc_pencil_optimality("pi3", 1.0, n, 0),
+        *STUDIES.values(),
     ],
-    ids=["offset", "prior", "sides", "pencil"],
+    ids=["offset", "prior", "sides", "pencil", *STUDIES],
 )
 @pytest.mark.parametrize("n_pairs", [0, -1])
-def test_monte_carlo_studies_reject_fewer_than_one_pair(call, n_pairs):
+def test_monte_carlo_studies_reject_fewer_than_one_pair(monkeypatch, call, n_pairs):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 3)
+    started = _count_thread_starts(monkeypatch)
     with pytest.raises(ValueError, match="n_pairs must be >= 1"):
         call(n_pairs)
+    assert started == []  # a study checks its pair count before its map starts a helper
 
 
 SEEDED_CALLS = [
