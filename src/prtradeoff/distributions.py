@@ -24,15 +24,17 @@ take them from a shared queue in the order given.  A direct
 puts all its pieces (every block of every tau, every replicate, every
 near-oracle search and pass) in one map, the longest first.  Each map
 starts its own helpers and joins them before it returns, so no thread
-outlives a map and none starts at import; a map called from inside a
-piece runs inline.  Each piece returns its own result, combined in item
-order, so every number is the same bit for bit whatever the number of
-threads, and nothing sets it.
+outlives a map and none starts at import.  Each piece returns its own
+result, or the exception it raised, and the caller combines them in
+piece order, raising the first exception in that order.  So every
+number, and every error, is the same whatever the number of threads,
+and nothing sets it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -194,56 +196,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_in_task = threading.local()  # .active while this thread runs a map's items
-
-
-def _map_concurrently(fn, items) -> list:
-    """``[fn(item) for item in items]``, computed by the calling thread and helpers of its own.
+def _map_concurrently(*groups: list) -> list[list]:
+    """Each group's results, in order: its zero-argument pieces, called by this thread and its own helpers.
 
     The caller and up to ``_usable_cpus() - 1`` helper threads, started
-    for this map and joined before it returns or raises, take items from
-    one shared queue, so a slow item holds up no other thread; the results
-    come back in item order.  A map called from inside an item, on any
-    thread, runs inline on that thread, so maps never nest.  An item that
-    raises stops the queue; the exception is raised once every thread has
-    finished its item.
+    for this map and joined before it returns or raises, take the pieces
+    from one shared queue in the order given, so callers give the longest
+    first: then no long piece starts last while the other threads idle.
+    A piece that raises an ``Exception`` returns it in place of its
+    result and every other piece still runs; ``_ok`` raises it where the
+    caller combines that piece.  Any other ``BaseException`` (say
+    ``KeyboardInterrupt``) stops the queue and is raised once every
+    thread has finished its piece.
     """
-    items = list(items)
-    helpers = min(len(items), _usable_cpus()) - 1
-    if helpers < 1 or getattr(_in_task, "active", False):
-        return [fn(item) for item in items]
-    results = [None] * len(items)
-    queue = iter(range(len(items)))
+    pieces = [piece for group in groups for piece in group]
+    results = [None] * len(pieces)
+    queue = iter(range(len(pieces)))
     queue_lock = threading.Lock()
-    failures: list[BaseException] = []  # the first one stops the queue
+    stops: list[BaseException] = []  # the first one stops the queue
 
     def drain() -> None:
-        _in_task.active = True
         try:
-            while not failures:
+            while not stops:
                 with queue_lock:
                     i = next(queue, None)
                 if i is None:
                     return
-                results[i] = fn(items[i])
+                try:
+                    results[i] = pieces[i]()
+                except Exception as exc:  # raised again, in the caller's order, by _ok
+                    results[i] = exc
         except BaseException as exc:
-            failures.append(exc)
-        finally:
-            _in_task.active = False
+            stops.append(exc)
 
+    helpers = min(len(pieces), _usable_cpus()) - 1
     threads = [threading.Thread(target=drain, name="prtradeoff") for _ in range(helpers)]
     for thread in threads:
         thread.start()
     drain()  # a caller that only waited would cost one more thread and malloc arena
     for thread in threads:
         thread.join()
-    if failures:
-        raise failures[0]
-    return results
+    if stops:
+        raise stops[0]
+    in_order = iter(results)
+    return [list(itertools.islice(in_order, len(group))) for group in groups]
 
 
-def _call(piece):
-    return piece()
+def _ok(result):
+    """A piece's result, or the exception it returned, raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _block_counts(spec, score1, score2, n_pairs: int, seed: int, block: int) -> tuple[int, int]:
@@ -290,9 +293,14 @@ def _tau_blocks(spec, score1, score2, n_pairs: int, seed: int) -> list:
 
 
 def _tau_estimate(per_block, n_pairs: int, seed: int) -> McEstimate:
-    """The estimate from its blocks' (discordant, redrawn) counts, after the redraw guard."""
-    discordant = sum(d for d, _ in per_block)
-    redrawn = sum(r for _, r in per_block)
+    """The estimate from its blocks' (discordant, redrawn) counts, after the redraw guard.
+
+    A block's exception, returned by ``_map_concurrently``, is raised here,
+    the first in block order.
+    """
+    counts = [_ok(r) for r in per_block]
+    discordant = sum(d for d, _ in counts)
+    redrawn = sum(r for _, r in counts)
     if redrawn > _REDRAW_FRACTION * n_pairs:
         raise RedrawLimitError(f"{redrawn} of {n_pairs} pairs needed redrawing")
     p_hat = discordant / n_pairs
@@ -314,10 +322,11 @@ def mc_kendall_tau(
     events have measure zero for the supported families, so a redraw rate
     above 1% aborts with ``RedrawLimitError``.  Blocks are drawn and
     counted concurrently (``_map_concurrently``); their integer counts are
-    summed, so the estimate does not depend on the number of threads.
+    summed, and a failing block's error is raised in block order, so
+    neither the estimate nor the error depends on the number of threads.
     """
-    blocks = _tau_blocks(spec, score1, score2, n_pairs, seed)
-    return _tau_estimate(_map_concurrently(_call, blocks), n_pairs, seed)
+    [per_block] = _map_concurrently(_tau_blocks(spec, score1, score2, n_pairs, seed))
+    return _tau_estimate(per_block, n_pairs, seed)
 
 
 # ---------------------------------------------------------------------------

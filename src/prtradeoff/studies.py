@@ -11,15 +11,15 @@ over all its independent pieces: every 65,536-pair block of every Monte
 Carlo tau, every pencil replicate, and each near-oracle search or
 streamed pass.  The queue holds the longest pieces first (the searches
 and passes, then the replicates, then the blocks), so no long piece
-starts while the other threads run out of work.  The results are then
-combined cell by cell, in table order, and a study raises the error of
-its first failing cell, whichever piece failed first in time.
+starts while the other threads run out of work.  A failing piece hands
+back its error and the others still run; the results are then combined
+cell by cell, in table order, so a study raises the error of its first
+failing cell, whichever piece failed first in time.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -45,35 +45,6 @@ SCORE_PAIRS = (
 _MC_OFFSETS = (0.1, 0.25, 0.61585, 1.0, 2.0, 5.0)
 
 
-def _map_pieces(*groups) -> list[list]:
-    """Every piece of every group, through one concurrent map; each group's results, in order.
-
-    The queue hands the pieces out in the order given, so callers give the
-    longest pieces first: then no long piece starts last while the other
-    threads idle.  A piece that raises returns its exception in place of
-    its result, the other pieces still run, and ``_ok`` raises it when
-    its cell is combined.  So a study raises the error that the
-    sequential code raised first, in cell order, whichever piece failed
-    first in time.
-    """
-    results = iter(dist._map_concurrently(_attempt, [piece for group in groups for piece in group]))
-    return [list(itertools.islice(results, len(group))) for group in groups]
-
-
-def _attempt(piece):
-    try:
-        return piece()
-    except Exception as exc:  # raised again, in cell order, by _ok
-        return exc
-
-
-def _ok(result):
-    """A piece's result, or the exception it returned, raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _score_pair_blocks(spec, pairs, n_pairs: int, seed: int) -> list[list]:
     """The block pieces of the tau of each (score1, score2) pair; pair i takes seed + i."""
     return [dist._tau_blocks(spec, s1, s2, n_pairs, seed + i) for i, (s1, s2) in enumerate(pairs)]
@@ -81,10 +52,7 @@ def _score_pair_blocks(spec, pairs, n_pairs: int, seed: int) -> list[list]:
 
 def _score_pair_taus(per_tau: list[list], n_pairs: int, seed: int) -> list[dist.McEstimate]:
     """The estimates from the block results of ``_score_pair_blocks``, one after another."""
-    return [
-        dist._tau_estimate([_ok(r) for r in blocks], n_pairs, seed + i)
-        for i, blocks in enumerate(per_tau)
-    ]
+    return [dist._tau_estimate(blocks, n_pairs, seed + i) for i, blocks in enumerate(per_tau)]
 
 
 _F1_PAIRS = [(s1, s2) for _, _, s1, s2 in SCORE_PAIRS[:3]]
@@ -112,7 +80,7 @@ def mc_f1_degree(spec: dist.DistributionSpec, n_pairs: int, seed: int) -> float:
     when no sampled pair has precision and recall disagreeing, since the
     degree is then undefined.
     """
-    per_tau = _map_pieces(*_score_pair_blocks(spec, _F1_PAIRS, n_pairs, seed))
+    per_tau = dist._map_concurrently(*_score_pair_blocks(spec, _F1_PAIRS, n_pairs, seed))
     return _f1_degree(_score_pair_taus(per_tau, n_pairs, seed), n_pairs)
 
 
@@ -137,7 +105,7 @@ def table1_cells(n_pairs: int, seed: int) -> list[tuple[str, float, float, float
         for i in range(len(PRIOR_GRID))
     ]
     search = functools.partial(dist.sivf_equidistance_prior_near_oracle, n_pairs, seed + 99)
-    [prior], degrees, *per_tau = _map_pieces([search], replicates, *blocks)
+    [prior], degrees, *per_tau = dist._map_concurrently([search], replicates, *blocks)
 
     pi1, *pi2 = (
         _f1_degree(_score_pair_taus(per_tau[3 * k : 3 * k + 3], n_pairs, s), n_pairs)
@@ -145,11 +113,11 @@ def table1_cells(n_pairs: int, seed: int) -> list[tuple[str, float, float, float
     )
     cells = [("pi1_f1_degree", pi1, 1.0, 0.01), ("pi2_f1_degree", sum(pi2) / len(pi2), 1.0, 0.01)]
     for k, family in enumerate(expected):
-        vals = [_ok(d) for d in degrees[k * len(PRIOR_GRID) : (k + 1) * len(PRIOR_GRID)]]
+        vals = [dist._ok(d) for d in degrees[k * len(PRIOR_GRID) : (k + 1) * len(PRIOR_GRID)]]
         cells.append((f"{family}_sivf_degree", sum(vals) / len(vals), expected[family], 0.01))
     cells.append(("pi3_f1_prior", dist.f1_equidistance_prior("pi3"), 0.381, 0.01))
     cells.append(("pi4_f1_prior", dist.f1_equidistance_prior("pi4"), 0.325, 0.01))
-    cells.append(("pi5_sivf_prior", _ok(prior), 0.561, 0.02))
+    cells.append(("pi5_sivf_prior", dist._ok(prior), 0.561, 0.02))
     return cells
 
 
@@ -171,7 +139,7 @@ def sweep_tables(
 
 def _score_pair_tables(spec, n_pairs: int, seed: int):
     pairs = [(s1, s2) for _, _, s1, s2 in SCORE_PAIRS]
-    per_tau = _map_pieces(*_score_pair_blocks(spec, pairs, n_pairs, seed))
+    per_tau = dist._map_concurrently(*_score_pair_blocks(spec, pairs, n_pairs, seed))
     estimates = _score_pair_taus(per_tau, n_pairs, seed)
     rows = [
         (n1, n2, est.value, est.half_width, est.n_pairs)
@@ -188,7 +156,7 @@ def _pencil_tables(spec, n_pairs: int, seed: int):
     # both sides at each Monte Carlo offset, (precision, F) at seed + 2i and (F, recall) at seed + 2i + 1
     betas = [math.sqrt(dist.beta_for_offset(off, spec.prior_pos)[0]) for off in _MC_OFFSETS]
     pairs = [pair for beta in betas for pair in ((PRECISION, fbeta(beta)), (fbeta(beta), RECALL))]
-    per_tau = _map_pieces(*_score_pair_blocks(spec, pairs, n_pairs, seed))
+    per_tau = dist._map_concurrently(*_score_pair_blocks(spec, pairs, n_pairs, seed))
     estimates = _score_pair_taus(per_tau, n_pairs, seed)
     tables = {
         "analytic_correlations": (
@@ -227,19 +195,19 @@ def _near_oracle_tables(spec, n_pairs: int, seed: int):
         # p / (1 - p) is the balanced F-score's vertex offset at prior p
         sides.append(functools.partial(dist.mc_tau_sides_near_oracle, p, p / (1.0 - p), n_pairs, seed + 200 + i))
     search = functools.partial(dist.sivf_equidistance_prior_near_oracle, n_pairs, seed + 300)
-    [prior], offsets, sides, *per_tau = _map_pieces([search], offsets, sides, *blocks)
+    [prior], offsets, sides, *per_tau = dist._map_concurrently([search], offsets, sides, *blocks)
 
     pr_re, adaptation, f1_equidistance = [], [], []
     for i, p in enumerate(priors):
-        est = dist._tau_estimate([_ok(r) for r in per_tau[i]], n_pairs, seed + i)
+        est = dist._tau_estimate(per_tau[i], n_pairs, seed + i)
         pr_re.append((p, dist.analytic_tau_pr_re_near_oracle(p), est.value, est.half_width))
-        off = _ok(offsets[i])
+        off = dist._ok(offsets[i])
         b2, b = dist.beta_for_offset(off, p)
         adaptation.append((p, off, math.sqrt(b2), b))
-        f1_equidistance.append((p, *_ok(sides[i])))
+        f1_equidistance.append((p, *dist._ok(sides[i])))
     tables = {
         "pr_re": (("prior_pos", "tau_analytic", "tau_mc", "half_width"), pr_re),
         "adaptation": (("prior_pos", "vertex_offset", "beta_star", "recall_weight"), adaptation),
         "f1_equidistance": (("prior_pos", "tau_precision_f1", "tau_f1_recall"), f1_equidistance),
     }
-    return tables, {"sivf_equidistance_prior": _ok(prior)}
+    return tables, {"sivf_equidistance_prior": dist._ok(prior)}

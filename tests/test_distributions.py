@@ -2,6 +2,7 @@ import functools
 import inspect
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import tracemalloc
@@ -437,7 +438,7 @@ def test_redraw_guard_sums_the_blocks_of_all_threads(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [2, 5, 8])
-def test_map_takes_each_item_once_and_returns_item_order(monkeypatch, cpus):
+def test_map_runs_each_piece_once_and_returns_each_group_in_order(monkeypatch, cpus):
     monkeypatch.setattr(dist, "_usable_cpus", lambda: cpus)
     calls = []  # list.append is atomic: a lost or doubled queue update shows in the counts
 
@@ -445,52 +446,65 @@ def test_map_takes_each_item_once_and_returns_item_order(monkeypatch, cpus):
         calls.append(x)
         return x * x
 
+    ranges = [range(0, 700), range(700, 700), range(700, 701), range(701, 2000)]
+    groups = [[functools.partial(square, x) for x in r] for r in ranges]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert dist._map_concurrently(square, range(2000)) == [x * x for x in range(2000)]
+        got = dist._map_concurrently(*groups)
     finally:
         sys.setswitchinterval(interval)
+    assert got == [[x * x for x in r] for r in ranges]
     assert sorted(calls) == list(range(2000))
-    assert dist._map_concurrently(square, []) == []
+    assert dist._map_concurrently() == []
+    assert dist._map_concurrently([]) == [[]]
 
 
-def test_a_map_inside_an_item_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(dist, "_usable_cpus", lambda: 3)
-
-    def inner(j):
-        return threading.get_ident(), threading.active_count()
-
-    def outer(i):
-        before = threading.active_count()
-        return threading.get_ident(), before, dist._map_concurrently(inner, range(4))
-
-    runs = dist._map_concurrently(outer, range(6))
-    for ident, before, nested in runs:
-        for inner_ident, count in nested:
-            # inline on the item's own thread; the outer map's helpers may already be leaving
-            assert inner_ident == ident
-            assert count <= before
-
-
-def test_a_map_joins_its_helpers_before_it_returns_or_raises(monkeypatch):
+def test_a_failing_piece_returns_its_exception_and_every_other_piece_still_runs(monkeypatch):
     monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)  # helpers on any host
     before = threading.active_count()
-    assert dist._map_concurrently(str, range(200)) == [str(x) for x in range(200)]
+    calls = []
+
+    def piece(x):
+        calls.append(x)
+        if x % 7 == 3:
+            raise KeyError(x)
+        return x
+
+    [got] = dist._map_concurrently([functools.partial(piece, x) for x in range(200)])
     assert threading.active_count() == before
+    assert sorted(calls) == list(range(200))
+    for x, result in enumerate(got):
+        if x % 7 == 3:
+            assert type(result) is KeyError and result.args == (x,)
+            with pytest.raises(KeyError):
+                dist._ok(result)
+        else:
+            assert dist._ok(result) == x
 
+
+class _Stop(BaseException):
+    """Not an ``Exception``: like KeyboardInterrupt, it stops a map."""
+
+
+def test_a_base_exception_on_a_helper_stops_the_queue_and_is_raised_after_the_join(monkeypatch):
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)  # helpers on any host
+    before = threading.active_count()
     raised = threading.Event()
+    calls = []
 
-    def fail_off_the_calling_thread(x):
+    def stop_off_the_calling_thread(x):
+        calls.append(x)
         if threading.current_thread() is threading.main_thread():
-            raised.wait(timeout=30)  # leave an item to a helper
+            raised.wait(timeout=30)  # leave a piece to a helper
             return x
         raised.set()
-        raise KeyError(x)
+        raise _Stop(x)
 
-    with pytest.raises(KeyError):
-        dist._map_concurrently(fail_off_the_calling_thread, range(200))
+    with pytest.raises(_Stop):
+        dist._map_concurrently([functools.partial(stop_off_the_calling_thread, x) for x in range(200)])
     assert raised.is_set()
+    assert len(calls) < 200  # the queue stopped; a helper stops after its first piece
     assert threading.active_count() == before
 
 
@@ -583,9 +597,20 @@ def test_each_study_is_one_concurrent_map(monkeypatch, study):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_study_raises_the_first_error_in_cell_order_not_in_time(monkeypatch, cpus):
-    # the pi5 prior search, table1's last cell, is the first piece in the
-    # queue; it fails before any pencil replicate, an earlier cell, does
+@pytest.mark.parametrize(
+    "study, later, first",
+    [
+        # the pi5 prior search, table1's last cell, is the first piece in the
+        # queue; it fails before any pencil replicate, an earlier cell, does
+        (lambda: studies.table1_cells(20000, 0), "mc_pencil_optimality", ("pi3", 1.0, 10**5, 50)),
+        # the summary search of a pi5 sweep is also queued first; it fails
+        # before the offset median of row 0, at prior 0.1 and seed 100
+        (lambda: studies.sweep_tables(near_oracle_spec(0.3), 20000, 0),
+         "mc_optimal_vertex_offset_near_oracle", (0.1, 20000, 100)),
+    ],
+    ids=["table1", "sweep-pi5"],
+)
+def test_a_study_raises_the_first_error_in_cell_order_not_in_time(monkeypatch, study, later, first, cpus):
     monkeypatch.setattr(dist, "_usable_cpus", lambda: cpus)
     failed = []
     search_failed = threading.Event()
@@ -595,16 +620,37 @@ def test_a_study_raises_the_first_error_in_cell_order_not_in_time(monkeypatch, c
         search_failed.set()
         raise ValueError("the search failed")
 
-    def failing_replicate(family, candidate_offset, n_pairs, seed):
+    def failing_later(*args):
         assert search_failed.wait(timeout=30)
-        failed.append("replicate")
-        raise RedrawLimitError("a replicate failed")
+        failed.append(later)
+        raise RedrawLimitError(f"{later}{args} failed")
 
     monkeypatch.setattr(dist, "sivf_equidistance_prior_near_oracle", failing_search)
-    monkeypatch.setattr(dist, "mc_pencil_optimality", failing_replicate)
-    with pytest.raises(RedrawLimitError, match="a replicate failed"):
-        studies.table1_cells(20000, 0)
-    assert failed[0] == "search" and "replicate" in failed
+    monkeypatch.setattr(dist, later, failing_later)
+    with pytest.raises(RedrawLimitError, match=re.escape(f"{later}{first} failed")):
+        study()
+    assert failed[0] == "search" and later in failed
+
+
+def test_a_direct_tau_raises_the_first_error_in_block_order_not_in_time(monkeypatch):
+    monkeypatch.setattr(dist, "_BLOCK", 256)
+    monkeypatch.setattr(dist, "_usable_cpus", lambda: 4)
+    real = dist._block_counts
+    block_3_failed = threading.Event()
+
+    def failing_blocks(spec, score1, score2, n_pairs, seed, block):
+        if block == 3:
+            block_3_failed.set()
+            raise RedrawLimitError("block 3 failed")
+        if block == 0:
+            assert block_3_failed.wait(timeout=30)
+            raise ValueError("block 0 failed")
+        return real(spec, score1, score2, n_pairs, seed, block)
+
+    monkeypatch.setattr(dist, "_block_counts", failing_blocks)
+    with pytest.raises(ValueError, match="block 0 failed"):
+        mc_kendall_tau(uniform_spec(), PRECISION, RECALL, 1000, 0)  # blocks 0-3
+    assert block_3_failed.is_set()
 
 
 @pytest.mark.parametrize(
