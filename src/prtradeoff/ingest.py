@@ -109,15 +109,15 @@ def ingest(path, prior_pos: float | None = None) -> PerformanceSet:
 
             if has_counts:
                 vals = [_parse_float(row[idx[f]], row_no, f) for f in _COUNT_FIELDS]
-                if any(v < 0 for v in vals):
-                    raise NegativeCountError(f"negative cell in {vals}", row_no)
+                for v in vals:  # in cell order, finiteness before sign, as normalize_parts checks
+                    if not math.isfinite(v):
+                        raise ParseError(f"non-finite cell value {v!r}", row_no)
+                    if v < 0:
+                        raise NegativeCountError(f"negative cell in {vals}", row_no)
                 total = sum(vals)
                 if total == 0:
                     raise ZeroTotalError("all four cells are zero", row_no)
-                if not math.isfinite(total):  # a NaN or infinite cell, or an overflowed sum
-                    bad = [v for v in vals if not math.isfinite(v)]
-                    if bad:
-                        raise ParseError(f"non-finite cell value {bad[0]!r}", row_no)
+                if not math.isfinite(total):
                     raise ParseError("normalization failed to reach the simplex", row_no)
                 counts.append(vals)
                 continue

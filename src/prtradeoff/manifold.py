@@ -10,13 +10,12 @@ usual picture of that curve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ranking import PerformanceSet, Ranking, _check_betas, _read_only, rank_by_score
-from .scores import F1, SIVF, UndefinedScoreError
+from .scores import F1, PRECISION, RECALL, SIVF, UndefinedScoreError
 
 
 class DegenerateSpreadError(ValueError):
@@ -71,7 +70,7 @@ def build_path(pset: PerformanceSet) -> RankingPath:
     distance from precision is the number of swaps so far; the last
     plateau is checked against recall.  Every array of the path is returned read-only.
     """
-    r_pr, r_re = pset.endpoint_rankings
+    r_pr, r_re = rank_by_score(pset, PRECISION), rank_by_score(pset, RECALL)
     if r_pr.has_ties or r_re.has_ties:
         raise ValueError("set has tied precision or recall values; path is ambiguous")
 
@@ -97,7 +96,7 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
     Precision and recall are the path endpoints already.  The balanced
     and the skew-insensitive F-scores are ranked directly (so F1 ties the
     pairs of a crossing at beta = 1), each skipped when undefined on the
-    set; the optimal tradeoff is the plateau of the median crossing.
+    set; the optimal tradeoff is ``path.optimal_plateau``.
     """
     out = {}
     for name, score in (("f1", F1), ("sivf", SIVF)):
@@ -105,8 +104,7 @@ def marker_rankings(path: RankingPath) -> dict[str, Ranking]:
             out[name] = rank_by_score(path.pset, score)
         except UndefinedScoreError:
             pass
-    b2_star = path.pset.crossings.beta_star_squared
-    out["optimal"] = path.ranking(path.plateau_of(math.sqrt(b2_star or 0.0)))
+    out["optimal"] = path.ranking(path.optimal_plateau)
     return out
 
 

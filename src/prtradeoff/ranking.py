@@ -1,11 +1,13 @@
 """Rank vectors over finite performance sets, and distances between rankings.
 
-The rank of an item is the number of items whose score is greater than or
-equal to its own, so the best item has rank 1 and, without ties, the rank
-vector is a permutation of 1..n.  Ties (within ``TIE_TOL``) share the
-worst rank of their group and contribute nothing to pair discordance;
-this is the conservative extension of the tie-free definitions and is the
-convention used throughout the package.
+One pair rule decides every pair by its own two values: a gap above
+``TIE_TOL`` orders the pair, and a gap within it is a tie.  Distances count
+the pairs two value vectors order strictly oppositely under that rule, so a
+tied pair is never discordant: the conservative extension of the tie-free
+definitions, used throughout the package.  Ranks are an output.  The rank
+of an item is the number of items it is not ahead of, itself included, so
+the best item has rank 1 and, without ties, the rank vector is a
+permutation of 1..n.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .scores import (
-    PRECISION,
-    RECALL,
     TIE_TOL,
     ScoreFunction,
     UndefinedScoreError,
@@ -80,11 +80,6 @@ class PerformanceSet:
     def crossings(self) -> CrossingSummary:
         """The set's ``pair_crossings``, which every finite-set quantity counts over."""
         return pair_crossings(self)
-
-    @cached_property
-    def endpoint_rankings(self) -> tuple[Ranking, Ranking]:
-        """The precision and recall rankings, the two ends of the F-score path."""
-        return rank_by_score(self, PRECISION), rank_by_score(self, RECALL)
 
     @classmethod
     def from_parts(cls, parts, labels=None) -> "PerformanceSet":
@@ -289,18 +284,57 @@ def _tie_slack(parts: np.ndarray, i: np.ndarray, j: np.ndarray, theta: np.ndarra
     return 2.0 * TIE_TOL * (s[i] * s[j]) / den + theta_error / (1.0 + theta)
 
 
+# Most pairs decided at once by one chunk of a count: bounds memory.
+_COMBOS = 1 << 18
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows, each against all n items at most ``_COMBOS`` pairs (at least one row)."""
+    step = max(1, _COMBOS // max(n, 1))
+    return (slice(a, a + step) for a in range(0, n, step))
+
+
+def _pair_signs(gap: np.ndarray) -> np.ndarray:
+    """The pair rule on gaps v_i - v_j: 1 where it puts i ahead, -1 where it puts j ahead, 0 for a tie."""
+    return np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
+
+
+def _discordant_pairs(f: np.ndarray, g: np.ndarray, tol: float) -> int:
+    """The pairs that the value vectors f and g order strictly oppositely under the pair rule at tol.
+
+    Pair (i, j) counts where f puts i ahead (f_i - f_j > tol) and g puts
+    j ahead (g_j - g_i > tol), so each discordant pair counts once.  One
+    block of rows is compared with every item at a time.
+    """
+    if len(f) < 2:
+        raise ValueError("need at least 2 items for pairwise statistics")
+    return sum(
+        int(np.count_nonzero((f[rows, None] - f > tol) & (g - g[rows, None] > tol)))
+        for rows in _row_blocks(len(f))
+    )
+
+
 def ranks_from_values(values: np.ndarray) -> np.ndarray:
-    """rank[i] = #{j : values[j] >= values[i] - TIE_TOL} (ties share the worst rank)."""
+    """rank[i] = n - #{j : values[i] - values[j] > TIE_TOL}: the items i is not ahead of (ties share the worst rank)."""
     v = np.asarray(values, dtype=float)
-    return (v[None, :] - v[:, None] >= -TIE_TOL).sum(axis=1, dtype=np.int32)
+    ranks = np.empty(len(v), dtype=np.int32)
+    for rows in _row_blocks(len(v)):
+        ranks[rows] = len(v) - np.count_nonzero(v[rows, None] - v > TIE_TOL, axis=1)
+    return ranks
 
 
-def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:
-    """Ranking induced by a score; raises UndefinedScoreError for items outside its domain."""
+def _defined_values(pset: PerformanceSet, score: ScoreFunction) -> np.ndarray:
+    """The score's values on the set; UndefinedScoreError names the first item outside its domain."""
     values = score_values(score, pset.parts)
     bad = np.flatnonzero(np.isnan(values))
     if bad.size:
         raise UndefinedScoreError(int(bad[0]), score.label())
+    return values
+
+
+def rank_by_score(pset: PerformanceSet, score: ScoreFunction) -> Ranking:
+    """Ranking induced by a score; raises UndefinedScoreError for items outside its domain."""
+    values = _defined_values(pset, score)
     return Ranking(_read_only(ranks_from_values(values)))  # the ranking keeps this array as it is
 
 
@@ -313,12 +347,8 @@ def discordance(r1: Ranking, r2: Ranking) -> tuple[int, int]:
     if len(r1) != len(r2):
         raise LengthMismatchError(f"rankings of length {len(r1)} and {len(r2)}")
     n = len(r1)
-    if n < 2:
-        raise ValueError("need at least 2 items for pairwise statistics")
-    a, b = r1.as_array(), r2.as_array()
-    prod = np.sign(a[:, None] - a) * np.sign(b[:, None] - b)
-    discordant = int((np.triu(prod, 1) < 0).sum())
-    return discordant, n * (n - 1) // 2
+    # ranks reverse the score order in both vectors, which keeps every discordant pair
+    return _discordant_pairs(r1.as_array(), r2.as_array(), 0), n * (n - 1) // 2
 
 
 def kendall_distance(r1: Ranking, r2: Ranking) -> float:

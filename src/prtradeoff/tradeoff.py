@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ranking import PerformanceSet, _check_betas, _read_only, _tie_slack, beta_grid, discordance
-from .ranking import pair_crossings, rank_by_score  # perfbench/tracer.py wraps tradeoff.pair_crossings
+from .ranking import _COMBOS, PerformanceSet, _check_betas, _defined_values, _discordant_pairs, _pair_signs
+from .ranking import _read_only, _tie_slack, beta_grid, discordance, rank_by_score
+from .ranking import pair_crossings  # perfbench/tracer.py wraps tradeoff.pair_crossings
 from .scores import (
     F1,
     PRECISION,
@@ -49,15 +50,12 @@ def optimal_beta(pset: PerformanceSet) -> tuple[float | None, np.ndarray]:
     return summary.beta_star_squared, summary.thetas
 
 
-# Most (beta, pair) combinations decided directly at once: bounds memory.
-_COMBOS = 1 << 18
-
-
 def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     """d(Pr, F_beta) and d(F_beta, Re) as discordant-pair counts, one per beta of a flat array.
 
     Only a crossing pair can be discordant with either endpoint, and each
-    is decided by its own two F-scores under TIE_TOL, as a ranking would.
+    is decided under the pair rule by its own two F-scores, and its two
+    precision and two recall values.
     Outside its tie window, |x - theta| <= c (1 + x) with c from
     ``_tie_slack``, that decision at beta^2 = x is fixed: the pair's row
     (ahead, behind) is the F order below theta and its reverse above it.
@@ -73,11 +71,11 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         raise UndefinedScoreError(0, fbeta(betas[bad[0]]).label())
     parts = pset.parts
-    r_pr, r_re = (r.as_array() for r in pset.endpoint_rankings)
+    pr, re = (_defined_values(pset, score) for score in (PRECISION, RECALL))
     i, j = pset.crossings.pairs.T
     theta = pset.crossings.thetas
-    s_pr = np.sign(r_pr[j] - r_pr[i])  # +1 where the endpoint puts item i ahead, as F does below theta
-    s_re = np.sign(r_re[j] - r_re[i])
+    s_pr = _pair_signs(pr[i] - pr[j])  # +1 where the endpoint puts item i ahead, as F does below theta
+    s_re = _pair_signs(re[i] - re[j])
     c = _tie_slack(parts, i, j, theta)
     with np.errstate(divide="ignore"):
         hi = np.where(c < 1.0, (theta + c) / (1.0 - c), np.inf)
@@ -104,7 +102,7 @@ def _side_counts(pset: PerformanceSet, betas) -> tuple[np.ndarray, np.ndarray]:
         del t, g  # the chunk's temporaries are freed before the F-scores are formed
         b = betas[at[k]]  # beta itself: the F-scores square it on their own
         gap = fbeta_values(parts[i[pair]], b) - fbeta_values(parts[j[pair]], b)
-        s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
+        s_f = _pair_signs(gap)
         d_pr += np.bincount(k[s_pr[pair] * s_f < 0], minlength=len(x))
         d_re += np.bincount(k[s_f * s_re[pair] < 0], minlength=len(x))
     return d_pr[back], d_re[back]
@@ -201,20 +199,20 @@ class OptimalityBreakdown:
 def _breakdowns(pset: PerformanceSet, beta_star_squared: float | None):
     """d(Pr, Re) and a function giving any candidate's breakdown.
 
-    F_beta* is ranked once here for all candidates.
+    Each count compares two score vectors pair by pair under the pair
+    rule; F_beta*'s values are read once here for all candidates.
     """
-    r_pr, r_re = pset.endpoint_rankings
-    d_pr_re, total = discordance(r_pr, r_re)
+    pr, re = (_defined_values(pset, score) for score in (PRECISION, RECALL))
+    d_pr_re, total = _discordant_pairs(pr, re, TIE_TOL), pset.total_pairs
     if d_pr_re == 0 or beta_star_squared is None:
         one = Fraction(1)
         vacuous = OptimalityBreakdown(one, Fraction(0), Fraction(0), one, vacuous=True)
         return d_pr_re, lambda candidate: vacuous
-    r_star = rank_by_score(pset, fbeta(math.sqrt(beta_star_squared)))
+    star = _defined_values(pset, fbeta(math.sqrt(beta_star_squared)))
     p_agree = 1 - Fraction(d_pr_re, total)
 
     def breakdown(candidate: ScoreFunction) -> OptimalityBreakdown:
-        d_bad, _ = discordance(rank_by_score(pset, candidate), r_star)
-        p_bad = Fraction(d_bad, total)
+        p_bad = Fraction(_discordant_pairs(_defined_values(pset, candidate), star, TIE_TOL), total)
         p_good = 1 - p_agree - p_bad
         return OptimalityBreakdown(p_agree, p_good, p_bad, p_good / (p_good + p_bad))
 

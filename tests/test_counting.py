@@ -6,8 +6,8 @@ each beta.  The oracle here ranks every item directly with
 ``rank_by_score`` and counts discordant pairs with ``discordance``; it
 is kept in this file only, so the shortcut is never checked against
 itself.  On sets with ties the oracle is ``pairwise_sides``, which
-decides every pair by its own F-score gap: re-ranking can differ from
-it where near-ties chain.
+decides every pair by its own gaps in precision, recall and the F-score:
+re-ranking can differ from it where near-ties chain.
 """
 
 import math
@@ -20,22 +20,26 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from prtradeoff import (
+    F1,
     PRECISION,
     RECALL,
+    SIVF,
     PerformanceSet,
+    analyze_set,
     build_path,
     discordance,
     equidistance_gap,
     fbeta,
     frechet_curve,
     frechet_variance,
+    optimality_decomposition,
     pair_crossings,
     rank_by_score,
     rank_trajectories,
     UndefinedScoreError,
 )
 from prtradeoff import ranking, tradeoff
-from prtradeoff.scores import TIE_TOL, fbeta_values
+from prtradeoff.scores import TIE_TOL, fbeta_values, score_values
 
 from conftest import roc_pset
 
@@ -48,19 +52,26 @@ def direct_sides(pset, beta):
     return discordance(r_pr, r)[0], discordance(r, r_re)[0]
 
 
-def pairwise_sides(pset, beta):
-    """(d(Pr, F_beta), d(F_beta, Re)) over all pairs, each F_beta pair decided by its own gap under TIE_TOL.
+def pairwise_signs(values):
+    """Over all pairs i < j: +1 where values[i] - values[j] > TIE_TOL, -1 where it is below -TIE_TOL, else 0."""
+    i, j = np.triu_indices(len(values), 1)
+    gap = values[i] - values[j]
+    return np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
 
-    The endpoints' signs come from ``rank_by_score``; a pair tied in
-    either of its two rankings is not discordant.
+
+def pairwise_discordance(f, g):
+    """The pairs that the value vectors f and g order oppositely, each decided by its own two gaps."""
+    return int(np.sum(pairwise_signs(f) * pairwise_signs(g) < 0))
+
+
+def pairwise_sides(pset, beta):
+    """(d(Pr, F_beta), d(F_beta, Re)) over all pairs, each decided by its own gaps under TIE_TOL.
+
+    A pair tied by either of its two scores is not discordant.
     """
-    i, j = np.triu_indices(len(pset), 1)
-    r_pr, r_re = (rank_by_score(pset, score).as_array() for score in (PRECISION, RECALL))
-    s_pr, s_re = np.sign(r_pr[j] - r_pr[i]), np.sign(r_re[j] - r_re[i])
+    pr, re = (score_values(score, pset.parts) for score in (PRECISION, RECALL))
     f = fbeta_values(pset.parts, beta)
-    gap = f[i] - f[j]
-    s_f = np.where(gap > TIE_TOL, 1, np.where(gap < -TIE_TOL, -1, 0))
-    return int(np.sum(s_pr * s_f < 0)), int(np.sum(s_f * s_re < 0))
+    return pairwise_discordance(pr, f), pairwise_discordance(f, re)
 
 
 def direct_variance(pset, beta):
@@ -168,6 +179,11 @@ CHAINED_TIES = [
 ]
 CHAINED_BETA = 0.9999999999879988
 
+# Recalls 0.5, 0.5 + 0.6e-12 and 0.5 + 1.2e-12: each pair's own gap
+# orders only the outer two, while re-ranking by recall puts the third
+# ahead of the second and ties the first two.
+CHAINED_RECALLS = [(0.1, 0.5), (0.05, 0.5 + 0.6e-12), (0.3, 0.5 + 1.2e-12), (0.4, 0.9)]
+
 
 def pairwise_variance(pset, beta):
     d1, d2 = (d / pset.total_pairs for d in pairwise_sides(pset, beta))
@@ -177,6 +193,7 @@ def pairwise_variance(pset, beta):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tied_performances)
 @example(CHAINED_TIES)
+@example(roc_pset(CHAINED_RECALLS, prior=0.3).parts.tolist())
 def test_counting_on_sets_with_ties_matches_pairwise_decisions(rows):
     # precision and recall must be defined; ties and degenerate pairs are welcome
     assume(all(fp + tp > 0 and fn + tp > 0 for _, fp, fn, tp in rows))
@@ -187,12 +204,39 @@ def test_counting_on_sets_with_ties_matches_pairwise_decisions(rows):
     for t in [0.0, *pair_crossings(pset).thetas]:
         d1, d2 = pairwise_sides(pset, math.sqrt(t))
         assert equidistance_gap(pset, t) == Fraction(abs(d1 - d2), pset.total_pairs)
+    # d(Pr, Re) and the decomposition against F_beta*, candidates at crossings among them
+    extra = {fbeta(b).label(): fbeta(b) for b in np.sqrt(pset.crossings.thetas[:3])}  # one beta per label
+    report = analyze_set(pset, extra_betas=[score.beta for score in extra.values()])
+    pr, re = (score_values(score, pset.parts) for score in (PRECISION, RECALL))
+    assert report.discordant_pr_re == pairwise_discordance(pr, re)
+    b2_star = pset.crossings.beta_star_squared
+    if report.discordant_pr_re and b2_star is not None:
+        star = fbeta_values(pset.parts, math.sqrt(b2_star))
+        scores = {"f1": F1, "sivf": SIVF, **extra}
+        if report.heuristic is not None:
+            scores["heuristic"] = fbeta(report.heuristic)
+        for name, breakdown in report.optimality.items():
+            d_bad = pairwise_discordance(score_values(scores[name], pset.parts), star)
+            assert breakdown.p_not_optimal == Fraction(d_bad, pset.total_pairs)
 
 
 def test_pairwise_decisions_give_the_chained_tie_set_sides_8_and_7():
     pset = PerformanceSet.from_parts(CHAINED_TIES)
     assert pairwise_sides(pset, CHAINED_BETA) == (8, 7)
     assert frechet_variance(pset, CHAINED_BETA) == pairwise_variance(pset, CHAINED_BETA)
+
+
+def test_the_report_and_the_curve_count_chained_recalls_alike():
+    pset = roc_pset(CHAINED_RECALLS, prior=0.3)
+    report = analyze_set(pset)
+    (_, variance), = frechet_curve(pset, [math.inf])
+    assert report.discordant_pr_re == 3
+    # F_inf ranks as recall, so the variance there is d(Pr, F_inf)^2 alone
+    assert variance == (report.discordant_pr_re / pset.total_pairs) ** 2
+    pr, re = (score_values(score, pset.parts) for score in (PRECISION, RECALL))
+    assert pairwise_discordance(pr, re) == 3
+    # re-ranking recall chains the near-ties: it orders items 1 and 2, which the pair rule ties
+    assert rank_by_score(pset, RECALL).ranks == (4, 4, 3, 1)
 
 
 @pytest.mark.xfail(strict=True, reason="re-ranking chains near-ties: (8, 8) where each pair's own gap gives (8, 7)")
@@ -286,6 +330,21 @@ def test_direct_decisions_stay_bounded_in_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 30 * 10**6
+
+
+def test_pair_counts_build_no_square_array():
+    # uniform ROC at n=3000: one n x n float64 array alone is 72 MB
+    pset = roc_pset(np.random.default_rng(0).uniform(size=(3000, 2)))
+    pset.crossings
+    r_pr, r_re = rank_by_score(pset, PRECISION), rank_by_score(pset, RECALL)
+    for count in (lambda: discordance(r_pr, r_re), lambda: optimality_decomposition(pset, F1)):
+        tracemalloc.start()
+        try:
+            count()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10**6
 
 
 def test_pairs_are_decided_directly_only_inside_their_tie_windows(monkeypatch):

@@ -61,10 +61,12 @@ def test_non_numeric_cell(tmp_path):
     [
         (["1,-1,1,1", "1,x,1,1"], NegativeCountError, 2, "negative cell in [1.0, -1.0, 1.0, 1.0]"),
         (["nan,1,1,1", "-1,1,1,1"], ParseError, 2, "non-finite cell value nan"),
-        (["nan,-1,1,1"], NegativeCountError, 2, "negative cell in [nan, -1.0, 1.0, 1.0]"),
+        (["nan,-1,1,1"], ParseError, 2, "non-finite cell value nan"),
         (["inf,1,1,1"], ParseError, 2, "non-finite cell value inf"),
         (["1e308,1e308,1,1", "1,1"], ParseError, 2, "normalization failed to reach the simplex"),
         (["1,1,1,1", "0,0,0,0", "1,x,1,1"], ZeroTotalError, 3, "all four cells are zero"),
+        (["-inf,1,1,1"], ParseError, 2, "non-finite cell value -inf"),
+        (["1,-1,nan,1"], NegativeCountError, 2, "negative cell in [1.0, -1.0, nan, 1.0]"),
     ],
 )
 def test_first_bad_count_row_decides_the_error(tmp_path, rows, error, row, message):

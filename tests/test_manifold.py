@@ -121,6 +121,17 @@ def test_marker_rankings():
     assert abs(s_star - half) <= Fraction(1, 2)
 
 
+def test_the_optimal_marker_is_the_optimal_plateau_on_a_coalesced_group():
+    # one transition of three swaps: the root of the median crossing lies
+    # an ulp past the transition beta, on plateau 1, while plateau 0 (0
+    # swaps) is the first of the two equally near half of 3
+    pset = roc_pset([(5 / 9, 7 / 9), (6 / 9, 8 / 9), (1 / 9, 3 / 9)])
+    path = build_path(pset)
+    assert path.swaps.tolist() == [0, 3] and pset.crossings.n_crossings == 3
+    assert path.optimal_plateau == 0
+    assert marker_rankings(path)["optimal"] == path.ranking(0)
+
+
 def test_optimal_plateau_is_nearest_to_halfway():
     for seed in range(5):
         pset = random_pset(seed + 70, 9)

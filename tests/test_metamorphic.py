@@ -22,6 +22,7 @@ from prtradeoff import (
     fixed_tn_spec,
     frechet_curve,
     mc_kendall_tau,
+    rank_by_score,
     uniform_spec,
 )
 
@@ -44,8 +45,8 @@ def test_swapping_false_positives_and_false_negatives_mirrors_the_crossings(coun
     assert a.n_crossings == b.n_crossings
     # the mirror crosses at 1/beta^2 where the set crosses at beta^2
     np.testing.assert_allclose(1.0 / b.thetas[::-1], a.thetas, rtol=4 * EPS, atol=0)
-    r_pr, r_re = pset.endpoint_rankings
-    assert twin.endpoint_rankings == (r_re, r_pr)
+    r_pr, r_re = (rank_by_score(pset, score) for score in (PRECISION, RECALL))
+    assert (rank_by_score(twin, PRECISION), rank_by_score(twin, RECALL)) == (r_re, r_pr)
     if a.n_crossings:
         lo, hi = a.beta_star_interval
         lo_twin, hi_twin = b.beta_star_interval

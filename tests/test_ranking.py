@@ -27,8 +27,9 @@ from prtradeoff import (
     sample_parts,
 )
 from prtradeoff import build_path, fixed_priors_spec, ingest
+from prtradeoff import ranking
 from prtradeoff.ranking import _tie_slack
-from prtradeoff.scores import normalize_parts
+from prtradeoff.scores import TIE_TOL, normalize_parts
 
 from conftest import random_pset
 
@@ -190,6 +191,28 @@ def test_ranking_is_one_read_only_int32_array():
     assert rank_by_score(pset_with_precision(values), PRECISION).as_array().dtype == np.int32
 
 
+def square_signs(v, tol):
+    """Every pair's order as one n x n matrix: sign of v_i - v_j beyond tol, 0 for a tie."""
+    gap = v[:, None] - v
+    return np.sign(gap) * (np.abs(gap) > tol)
+
+
+@pytest.mark.parametrize("combos", [1, 7, 1 << 18])
+def test_pair_counts_in_row_blocks_match_the_square_comparison(combos, monkeypatch):
+    # values on a 1/5 grid, jittered so that near-ties within TIE_TOL chain
+    monkeypatch.setattr(ranking, "_COMBOS", combos)
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        n = int(rng.integers(2, 30))
+        f, g = (rng.integers(0, 5, n) / 5 + rng.choice([-4e-13, 0.0, 4e-13, 9e-13], n) for _ in range(2))
+        want = int((np.triu(square_signs(f, TIE_TOL) * square_signs(g, TIE_TOL), 1) < 0).sum())
+        assert ranking._discordant_pairs(f, g, TIE_TOL) == want
+        r_f, r_g = ranks_from_values(f), ranks_from_values(g)
+        assert (r_f == (f[None, :] - f[:, None] >= -TIE_TOL).sum(axis=1)).all()
+        want = int((np.triu(square_signs(r_f, 0) * square_signs(r_g, 0), 1) < 0).sum())
+        assert discordance(Ranking(r_f), Ranking(r_g)) == (want, n * (n - 1) // 2)
+
+
 def test_has_ties():
     assert not Ranking((3, 1, 2)).has_ties
     assert Ranking((1, 3, 3)).has_ties
@@ -235,12 +258,12 @@ def test_copies_keep_the_rows_bit_for_bit_and_every_array_read_only(copier):
     pset = PerformanceSet.from_parts(sample_parts(uniform_spec(), 18, 300), [f"m{k}" for k in range(300)])
     # normalizing these rows again would move some of them
     assert (normalize_parts(pset.parts) != pset.parts).any()
-    crossings, (r_pr, r_re) = pset.crossings, pset.endpoint_rankings
+    crossings, r_pr = pset.crossings, rank_by_score(pset, PRECISION)
     twin = copier(pset)
     assert twin.parts.tobytes() == pset.parts.tobytes() and twin.labels == pset.labels
     assert twin.crossings.thetas.tobytes() == crossings.thetas.tobytes()
-    assert twin.endpoint_rankings == (r_pr, r_re)
-    arrays = [twin.parts, twin.crossings.thetas, twin.crossings.pairs, *(r.as_array() for r in twin.endpoint_rankings)]
+    assert rank_by_score(twin, PRECISION) == r_pr
+    arrays = [twin.parts, twin.crossings.thetas, twin.crossings.pairs]
     assert not any(a.flags.writeable for a in arrays)
     ranking = copier(r_pr)
     assert ranking == r_pr
@@ -263,7 +286,7 @@ def test_crossing_rows_are_swaps_that_precision_orders_on_roc_sets(seed):
     assert pset.crossings.n_crossings
     assert_rows_are_swaps(pset)
     build_path(pset)  # tie-free: the numerator's sign is the precision order
-    r_pr = pset.endpoint_rankings[0].as_array()
+    r_pr = rank_by_score(pset, PRECISION).as_array()
     ahead, behind = pset.crossings.pairs.T
     assert (r_pr[ahead] < r_pr[behind]).all()
 

@@ -10,6 +10,7 @@ from prtradeoff import (
     F1,
     PRECISION,
     RECALL,
+    SIVF,
     Performance,
     PerformanceSet,
     TradeoffReport,
@@ -425,33 +426,37 @@ def test_analyze_set_keeps_every_extra_beta_or_raises():
         analyze_set(pset, extra_betas=(1.0000001, 1.0000002))
 
 
-def test_analyze_set_ranks_each_candidate_and_the_optimum_once(monkeypatch):
-    from prtradeoff import tradeoff
+def test_analyze_set_ranks_nothing_and_reads_each_candidate_once(monkeypatch):
+    from prtradeoff import ranking, tradeoff
 
-    ranked, counted = [], []
+    def no_ranking(*args):
+        raise AssertionError("ranked")
 
-    def counting_rank(pset, score):
-        ranked.append(score)
-        return rank_by_score(pset, score)
+    for module, name in ((tradeoff, "rank_by_score"), (tradeoff, "discordance"), (ranking, "ranks_from_values")):
+        monkeypatch.setattr(module, name, no_ranking)
+    read = []
 
-    def counting_discordance(r1, r2):
-        counted.append((r1, r2))
-        return discordance(r1, r2)
+    def counting_values(pset, score):
+        read.append(score)
+        return ranking._defined_values(pset, score)
 
-    monkeypatch.setattr(tradeoff, "rank_by_score", counting_rank)
-    monkeypatch.setattr(tradeoff, "discordance", counting_discordance)
+    monkeypatch.setattr(tradeoff, "_defined_values", counting_values)
     pset = random_pset(36, 20)
     report = analyze_set(pset, extra_betas=(0.5,))
+    b2_star = report.pset.crossings.beta_star_squared
+    f1 = optimality_decomposition(pset, F1, b2_star)
     monkeypatch.undo()
 
-    others = [s for s in ranked if s not in (PRECISION, RECALL)]
+    others = [s for s in read if s not in (PRECISION, RECALL)]
     assert len(report.optimality) == 4
-    assert len(others) == len(report.optimality) + 1  # the candidates and F_beta*
-    assert len(counted) == len(report.optimality) + 1  # d(Pr, Re), then one per candidate
-    for name, score in (("f1", F1), ("fbeta(0.5)", fbeta(0.5))):
-        assert report.optimality[name] == optimality_decomposition(
-            pset, score, report.pset.crossings.beta_star_squared
-        )
+    assert others[0] == fbeta(math.sqrt(b2_star))  # F_beta*, read once for every candidate
+    assert others[1:5] == [F1, SIVF, fbeta(heuristic_beta(pset)), fbeta(0.5)]
+    assert len(others) == 5 + 2  # then F_beta* and F1 for optimality_decomposition
+    assert report.optimality["f1"] == f1
+    ranked = {name: discordance(rank_by_score(pset, score), rank_by_score(pset, fbeta(math.sqrt(b2_star))))[0]
+              for name, score in (("f1", F1), ("fbeta(0.5)", fbeta(0.5)))}
+    for name, d in ranked.items():
+        assert report.optimality[name].p_not_optimal == Fraction(d, pset.total_pairs)
 
 
 def test_a_set_shares_one_read_only_crossing_summary():
